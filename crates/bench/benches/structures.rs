@@ -6,9 +6,10 @@
 //! so there is no Criterion. Run with `cargo bench -p aquila-bench`.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use aquila_kvstore::{SstReader, SstWriter};
+use aquila_linuxsim::{KernelDevice, LinuxConfig, LinuxMmap};
 use aquila_mmu::{Access, Gva, PageTable, PteFlags, Vpn};
 use aquila_pcache::{ClockLru, Freelist, FreelistConfig, LockFreeMap, NumaTopology, PageKey};
 use aquila_sim::FreeCtx;
@@ -23,12 +24,36 @@ fn bench<R>(group: &str, name: &str, iters: u64, mut f: impl FnMut() -> R) {
     for _ in 0..iters {
         std::hint::black_box(f());
     }
-    let elapsed = t0.elapsed();
+    report(group, name, iters, t0.elapsed());
+}
+
+fn report(group: &str, name: &str, iters: u64, elapsed: Duration) {
     println!(
         "{group}/{name:<24} {:>10.1} ns/op   ({iters} iters, {:.3} s)",
         elapsed.as_nanos() as f64 / iters as f64,
         elapsed.as_secs_f64()
     );
+}
+
+/// Like [`bench`], but times only `op`, after an untimed `setup` for
+/// each call (for operations that consume what `setup` built). Both
+/// closures share `ctx`.
+fn bench_with_setup<C, S, R>(
+    group: &str,
+    name: &str,
+    iters: u64,
+    ctx: &mut C,
+    mut setup: impl FnMut(&mut C) -> S,
+    mut op: impl FnMut(&mut C, S) -> R,
+) {
+    let mut elapsed = Duration::ZERO;
+    for _ in 0..iters {
+        let state = setup(ctx);
+        let t0 = Instant::now();
+        std::hint::black_box(op(ctx, state));
+        elapsed += t0.elapsed();
+    }
+    report(group, name, iters, elapsed);
 }
 
 fn bench_lockfree_map() {
@@ -166,6 +191,48 @@ fn bench_tlb() {
     });
 }
 
+fn linux_engine(pages: u64, cache_frames: usize) -> LinuxMmap {
+    let dev = KernelDevice::Pmem(Arc::new(aquila_devices::PmemDevice::dram_backed(pages)));
+    let debts = Arc::new(aquila_sim::CoreDebts::new(1));
+    LinuxMmap::new(LinuxConfig::linux(1, cache_frames), dev, debts)
+}
+
+fn bench_linuxsim() {
+    // munmap of a 16,384-page mapping whose pages are all cached and
+    // mapped (the fault-fit set-up's remap).
+    const PAGES: u64 = 16_384;
+    let mut ctx = FreeCtx::new(1);
+    let lm = linux_engine(PAGES, PAGES as usize);
+    let f = lm.open_file(PAGES).expect("open");
+    let mut buf = [0u8; 8];
+    bench_with_setup(
+        "linuxsim",
+        "munmap_16k_cached",
+        5,
+        &mut ctx,
+        |ctx| {
+            let vpn = lm.mmap(ctx, f, 0, PAGES, false).expect("map");
+            for p in 0..PAGES {
+                lm.read(ctx, (vpn + p) << 12, &mut buf).expect("read");
+            }
+            vpn
+        },
+        |ctx, vpn| lm.munmap(ctx, vpn, PAGES),
+    );
+
+    // A major fault with Linux's 32-page readahead, in steady state: a
+    // cold file 16x the cache, so each fault also reclaims 32 pages.
+    const FILE: u64 = 65_536;
+    let lm = linux_engine(FILE, 4096);
+    let f = lm.open_file(FILE).expect("open");
+    let vpn = lm.mmap(&mut ctx, f, 0, FILE, false).expect("map");
+    let mut p = 0u64;
+    bench("linuxsim", "major_fault_ra32", 20_000, || {
+        p = (p + 32) % FILE;
+        lm.read(&mut ctx, (vpn + p) << 12, &mut buf)
+    });
+}
+
 fn main() {
     bench_lockfree_map();
     bench_freelist();
@@ -174,4 +241,5 @@ fn main() {
     bench_sst();
     bench_fault_path();
     bench_tlb();
+    bench_linuxsim();
 }

@@ -100,16 +100,34 @@ impl PmemDevice {
         buf: &mut [u8],
         simd: bool,
     ) -> Result<Cycles, DeviceError> {
+        self.dax_readv(ctx, pos, &mut [buf], simd)
+    }
+
+    /// Vectored [`Self::dax_read`]: fills `bufs` in order from the
+    /// contiguous device range starting at `pos`, charged as one copy of
+    /// the total length.
+    pub fn dax_readv<B: AsMut<[u8]>>(
+        &self,
+        ctx: &mut dyn SimCtx,
+        pos: u64,
+        bufs: &mut [B],
+        simd: bool,
+    ) -> Result<Cycles, DeviceError> {
         let before = ctx.now();
-        self.store.read_range(pos, buf)?;
-        let copy = ctx.cost().memcpy(buf.len() as u64, simd);
+        let mut len = 0u64;
+        for buf in bufs.iter_mut() {
+            let buf = buf.as_mut();
+            self.store.read_range(pos + len, buf)?;
+            len += buf.len() as u64;
+        }
+        let copy = ctx.cost().memcpy(len, simd);
         let r = self
             .service
-            .submit(ctx.now(), self.profile.load_latency, buf.len() as u64);
+            .submit(ctx.now(), self.profile.load_latency, len);
         ctx.charge(aquila_sim::CostCat::Memcpy, copy);
         ctx.wait_until(r.end, aquila_sim::CostCat::DeviceIo);
         ctx.counters().device_reads += 1;
-        ctx.counters().bytes_read += buf.len() as u64;
+        ctx.counters().bytes_read += len;
         aquila_sim::trace::span(ctx, "pmem.memcpy.read", aquila_sim::CostCat::Memcpy, before);
         Ok(ctx.now() - before)
     }
@@ -233,6 +251,28 @@ mod tests {
                 .unwrap();
         }
         assert!(ctx.now() >= Cycles::from_micros(50), "paced: {}", ctx.now());
+    }
+
+    #[test]
+    fn readv_matches_one_contiguous_read() {
+        let dev = PmemDevice::dram_backed(8);
+        let data: Vec<u8> = (0..3 * STORE_PAGE).map(|i| (i % 251) as u8).collect();
+        dev.dax_write(&mut FreeCtx::new(1), STORE_PAGE as u64, &data, false)
+            .unwrap();
+        dev.reset_timing();
+        let mut one = FreeCtx::new(1);
+        let mut flat = vec![0u8; data.len()];
+        dev.dax_read(&mut one, STORE_PAGE as u64, &mut flat, false)
+            .unwrap();
+        dev.reset_timing();
+        let mut vec_ctx = FreeCtx::new(1);
+        let mut pages = vec![vec![0u8; STORE_PAGE]; 3];
+        dev.dax_readv(&mut vec_ctx, STORE_PAGE as u64, &mut pages, false)
+            .unwrap();
+        assert_eq!(pages.concat(), data);
+        assert_eq!(vec_ctx.now(), one.now(), "charged as one read");
+        assert_eq!(vec_ctx.stats.device_reads, 1);
+        assert_eq!(vec_ctx.stats.bytes_read, data.len() as u64);
     }
 
     #[test]

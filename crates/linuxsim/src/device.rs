@@ -59,6 +59,28 @@ impl KernelDevice {
         }
     }
 
+    /// Reads consecutive pages straight into per-page buffers (the
+    /// readahead fill), charged exactly as one [`Self::read_pages`] of
+    /// the total length. NVMe stages multi-page reads through one
+    /// contiguous buffer.
+    pub fn read_pages_into(&self, ctx: &mut dyn SimCtx, page: u64, bufs: &mut [Box<[u8]>]) {
+        match (self, bufs) {
+            (KernelDevice::Pmem(d), bufs) => {
+                ctx.charge(CostCat::DeviceIo, aquila_sim::Cycles(240));
+                d.dax_readv(ctx, page * STORE_PAGE as u64, bufs, false)
+                    .expect("kernel fill within device bounds");
+            }
+            (KernelDevice::Nvme(_), [one]) => self.read_pages(ctx, page, one),
+            (KernelDevice::Nvme(_), bufs) => {
+                let mut staged = vec![0u8; bufs.iter().map(|b| b.len()).sum()];
+                self.read_pages(ctx, page, &mut staged);
+                for (b, chunk) in bufs.iter_mut().zip(staged.chunks(STORE_PAGE)) {
+                    b.copy_from_slice(chunk);
+                }
+            }
+        }
+    }
+
     /// Writes pages from within the kernel (writeback).
     pub fn write_pages(&self, ctx: &mut dyn SimCtx, page: u64, buf: &[u8]) {
         match self {
@@ -115,6 +137,33 @@ mod tests {
         let mut buf = vec![0u8; STORE_PAGE];
         dev.read_pages(&mut ctx, 0, &mut buf);
         assert!(ctx.breakdown.get(CostCat::Idle) >= aquila_sim::Cycles::from_micros(9));
+    }
+
+    #[test]
+    fn per_page_fill_matches_contiguous_fill() {
+        for dev in [
+            KernelDevice::Pmem(Arc::new(PmemDevice::dram_backed(16))),
+            KernelDevice::Nvme(Arc::new(NvmeDevice::optane(16))),
+        ] {
+            let data: Vec<u8> = (0..4 * STORE_PAGE).map(|i| (i % 253) as u8).collect();
+            dev.write_pages(&mut FreeCtx::new(1), 2, &data);
+            dev.reset_timing();
+            let mut flat_ctx = FreeCtx::new(1);
+            let mut flat = vec![0u8; data.len()];
+            dev.read_pages(&mut flat_ctx, 2, &mut flat);
+            dev.reset_timing();
+            let mut ctx = FreeCtx::new(1);
+            let mut pages: Vec<Box<[u8]>> = (0..4).map(|_| vec![0u8; STORE_PAGE].into()).collect();
+            dev.read_pages_into(&mut ctx, 2, &mut pages);
+            assert_eq!(pages.concat(), data, "{dev:?}");
+            assert_eq!(ctx.now(), flat_ctx.now(), "{dev:?} charged as one read");
+            assert_eq!(
+                format!("{:?}", ctx.breakdown),
+                format!("{:?}", flat_ctx.breakdown),
+                "{dev:?}"
+            );
+            assert_eq!(ctx.stats.device_reads, flat_ctx.stats.device_reads);
+        }
     }
 
     #[test]

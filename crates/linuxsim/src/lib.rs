@@ -19,7 +19,7 @@ pub mod region;
 pub mod ucache;
 
 pub use device::KernelDevice;
-pub use mmap::{LinuxConfig, LinuxError, LinuxFileId, LinuxMmap};
+pub use mmap::{AuditError, LinuxConfig, LinuxError, LinuxFileId, LinuxMmap};
 pub use pagecache::{KVictim, KernelPageCache};
 pub use region::LinuxRegion;
 pub use ucache::UserCache;

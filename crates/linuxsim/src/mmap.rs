@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use aquila_sync::{DetMap, Mutex};
+use aquila_sync::{DetMap, DetSet, Mutex};
 
 use aquila_sim::{race, CoreDebts, CostCat, Cycles, SimCtx, SimRwLock};
 
@@ -64,6 +64,68 @@ pub enum LinuxError {
     BadFile,
     /// Device exhausted.
     NoSpace,
+}
+
+/// A broken engine invariant, reported by [`LinuxMmap::audit`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AuditError {
+    /// Page-cache frames leaked or double-counted: `free + resident`
+    /// differs from `capacity`.
+    FrameCount {
+        /// Frames on the free list.
+        free: usize,
+        /// Cached pages.
+        resident: usize,
+        /// Total frames.
+        capacity: usize,
+    },
+    /// A frame's owner slot, tree entry, LRU link and free-list
+    /// membership disagree.
+    FrameOwner {
+        /// The frame.
+        frame: u32,
+    },
+    /// A dirty mark on a page that is not cached.
+    DirtyNotResident {
+        /// The page.
+        key: Key,
+    },
+    /// A PTE outside every VMA.
+    PteOutsideVma {
+        /// The virtual page.
+        vpn: u64,
+    },
+    /// A PTE missing from its page's rmap list, so eviction could not
+    /// unmap it.
+    PteWithoutRmap {
+        /// The virtual page.
+        vpn: u64,
+    },
+    /// A PTE whose frame is not its page's cached frame.
+    PteFrame {
+        /// The virtual page.
+        vpn: u64,
+        /// The frame the PTE maps.
+        frame: u32,
+    },
+    /// A writable PTE over a clean page: a store through it would never
+    /// be written back.
+    WritableClean {
+        /// The virtual page.
+        vpn: u64,
+    },
+    /// An rmap entry with no PTE behind it, or filed under another page.
+    StaleRmap {
+        /// The rmap list holding it.
+        key: Key,
+        /// The virtual page.
+        vpn: u64,
+    },
+    /// A virtual page listed more than once across the rmap.
+    DuplicateRmap {
+        /// The virtual page.
+        vpn: u64,
+    },
 }
 
 /// A file on the simulated device (linear allocation).
@@ -129,6 +191,17 @@ struct Vma {
     writable: bool,
 }
 
+impl Vma {
+    fn contains(&self, vpn: u64) -> bool {
+        (self.start..self.start + self.pages).contains(&vpn)
+    }
+
+    /// The cached page backing `vpn` (which this VMA must contain).
+    fn key(&self, vpn: u64) -> Key {
+        (self.file, self.file_page + (vpn - self.start))
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct FileDesc {
     base_page: u64,
@@ -145,6 +218,10 @@ pub struct LinuxMmap {
     pt: Mutex<DetMap<u64, Pte>>,
     /// Reverse map: cached page -> virtual pages mapping it.
     rmap: Mutex<DetMap<Key, Vec<u64>>>,
+    /// Recycled 4 KiB page buffers for readahead fills: the device fills
+    /// them and they are swapped into frames, so a fill copies each page
+    /// once and allocates nothing in steady state.
+    fill_pool: Mutex<Vec<Box<[u8]>>>,
     files: Mutex<Vec<FileDesc>>,
     next_vpn: Mutex<u64>,
     next_dev_page: Mutex<u64>,
@@ -169,6 +246,7 @@ impl LinuxMmap {
             vmas: Mutex::new(Vec::new()),
             pt: Mutex::new(DetMap::new()),
             rmap: Mutex::new(DetMap::new()),
+            fill_pool: Mutex::new(Vec::new()),
             files: Mutex::new(Vec::new()),
             next_vpn: Mutex::new(0x10_0000),
             next_dev_page: Mutex::new(0),
@@ -256,10 +334,20 @@ impl LinuxMmap {
         let r = self.mmap_sem.acquire_write(ctx.now(), Cycles(1500));
         ctx.wait_until(r.start, CostCat::LockWait);
         ctx.wait_until(r.end, CostCat::Syscall);
+        let end = start_vpn.saturating_add(pages);
         race::acquire(ctx, LOCK_VMAS);
-        self.vmas
-            .lock()
-            .retain(|v| !(v.start == start_vpn && v.pages == pages));
+        // Every PTE lies inside a live VMA, so the VMAs overlapping the
+        // range name the rmap list of each page it unmaps.
+        let covering: Vec<Vma> = {
+            let mut vmas = self.vmas.lock();
+            let covering = vmas
+                .iter()
+                .filter(|v| v.start < end && start_vpn < v.start + v.pages)
+                .copied()
+                .collect();
+            vmas.retain(|v| !(v.start == start_vpn && v.pages == pages));
+            covering
+        };
         race::write(ctx, VAR_VMAS);
         race::release(ctx, LOCK_VMAS);
         let mut flushed = 0;
@@ -268,11 +356,17 @@ impl LinuxMmap {
             race::acquire(ctx, LOCK_RMAP);
             let mut pt = self.pt.lock();
             let mut rmap = self.rmap.lock();
-            for i in 0..pages {
-                let vpn = start_vpn + i;
-                if pt.remove(&vpn).is_some() {
-                    for list in rmap.values_mut() {
+            for vma in &covering {
+                for vpn in vma.start.max(start_vpn)..(vma.start + vma.pages).min(end) {
+                    if pt.remove(&vpn).is_none() {
+                        continue;
+                    }
+                    let key = vma.key(vpn);
+                    if let Some(list) = rmap.get_mut(&key) {
                         list.retain(|&p| p != vpn);
+                        if list.is_empty() {
+                            rmap.remove(&key);
+                        }
                     }
                     flushed += 1;
                 }
@@ -392,24 +486,17 @@ impl LinuxMmap {
         ctx.wait_until(r.end, CostCat::FaultHandler);
         // VMA lookup on the rb-tree.
         ctx.charge(CostCat::FaultHandler, Cycles(150));
-        race::acquire(ctx, LOCK_VMAS);
-        let vma = {
-            let vmas = self.vmas.lock();
-            vmas.iter()
-                .find(|v| (v.start..v.start + v.pages).contains(&vpn))
-                .copied()
-        };
-        race::read(ctx, VAR_VMAS);
-        race::release(ctx, LOCK_VMAS);
-        let vma = vma.ok_or(LinuxError::Segfault(vpn << 12))?;
+        let vma = self
+            .find_vma(ctx, vpn)
+            .ok_or(LinuxError::Segfault(vpn << 12))?;
         if write && !vma.writable {
             return Err(LinuxError::Protection(vpn << 12));
         }
         let body = ctx.cost().linux_fault_body;
         ctx.charge(CostCat::FaultHandler, body);
 
-        let file_page = vma.file_page + (vpn - vma.start);
-        let key: Key = (vma.file, file_page);
+        let key = vma.key(vpn);
+        let file_page = key.1;
 
         // Write-protect fault on an already-present page: `page_mkwrite`.
         let mkwrite = {
@@ -454,13 +541,13 @@ impl LinuxMmap {
             self.finish_victims(ctx, &victims)?;
         }
         let base_dev = self.file_dev_page(vma.file, file_page)?;
-        let mut data = vec![0u8; count * 4096];
-        self.dev.read_pages(ctx, base_dev, &mut data);
+        let mut pages = self.take_fill_pages(count);
+        self.dev.read_pages_into(ctx, base_dev, &mut pages);
         if count > 1 {
             ctx.counters().readahead_pages += (count - 1) as u64;
         }
         let mut my_frame = None;
-        for (i, chunk) in data.chunks(4096).enumerate() {
+        for (i, page) in pages.iter_mut().enumerate() {
             let k: Key = (vma.file, file_page + i as u64);
             let (frame, victim, was_present) = self.cache.insert(ctx, k);
             if let Some(v) = victim {
@@ -469,12 +556,13 @@ impl LinuxMmap {
             // Never clobber an already-cached page: it may hold dirty data
             // newer than the device copy.
             if !was_present {
-                self.cache.write_frame(frame, 0, chunk);
+                self.cache.swap_frame(frame, page);
             }
             if i == 0 {
                 my_frame = Some(frame);
             }
         }
+        self.fill_pool.lock().append(&mut pages);
         let frame = my_frame.expect("count >= 1");
         self.install(ctx, vpn, key, frame, write);
         // kmmap's lazy writeback: flush a chunk when dirty pages pile up.
@@ -482,6 +570,24 @@ impl LinuxMmap {
             self.kmmap_lazy_flush(ctx)?;
         }
         Ok(())
+    }
+
+    /// `count` page buffers for a fill: recycled ones first, then fresh.
+    fn take_fill_pages(&self, count: usize) -> Vec<Box<[u8]>> {
+        let mut pool = self.fill_pool.lock();
+        let keep = pool.len().saturating_sub(count);
+        let mut pages = pool.split_off(keep);
+        drop(pool);
+        pages.resize_with(count, || vec![0u8; 4096].into_boxed_slice());
+        pages
+    }
+
+    fn find_vma(&self, ctx: &mut dyn SimCtx, vpn: u64) -> Option<Vma> {
+        race::acquire(ctx, LOCK_VMAS);
+        let vma = self.vmas.lock().iter().find(|v| v.contains(vpn)).copied();
+        race::read(ctx, VAR_VMAS);
+        race::release(ctx, LOCK_VMAS);
+        vma
     }
 
     fn install(&self, ctx: &mut dyn SimCtx, vpn: u64, key: Key, frame: u32, write: bool) {
@@ -534,14 +640,11 @@ impl LinuxMmap {
         if any_unmapped {
             self.shootdown(ctx, 1);
         }
-        for v in victims {
-            if v.dirty {
-                let mut data = vec![0u8; 4096];
-                self.cache.read_frame(v.frame, 0, &mut data);
-                let dev_page = self.file_dev_page(v.key.0, v.key.1)?;
-                self.dev.write_pages(ctx, dev_page, &data);
-                ctx.counters().writebacks += 1;
-            }
+        for v in victims.iter().filter(|v| v.dirty) {
+            let dev_page = self.file_dev_page(v.key.0, v.key.1)?;
+            self.cache
+                .with_frame(v.frame, |data| self.dev.write_pages(ctx, dev_page, data));
+            ctx.counters().writebacks += 1;
         }
         Ok(())
     }
@@ -575,29 +678,12 @@ impl LinuxMmap {
         let c = ctx.cost().syscall_entry_exit;
         ctx.charge(CostCat::Syscall, c);
         ctx.counters().syscalls += 1;
-        race::acquire(ctx, LOCK_VMAS);
-        let vma = {
-            let vmas = self.vmas.lock();
-            vmas.iter()
-                .find(|v| (v.start..v.start + v.pages).contains(&start_vpn))
-                .copied()
-        };
-        race::read(ctx, VAR_VMAS);
-        race::release(ctx, LOCK_VMAS);
-        let vma = vma.ok_or(LinuxError::Segfault(start_vpn << 12))?;
-        let fp0 = vma.file_page + (start_vpn - vma.start);
+        let vma = self
+            .find_vma(ctx, start_vpn)
+            .ok_or(LinuxError::Segfault(start_vpn << 12))?;
+        let fp0 = vma.key(start_vpn).1;
         self.msync_file(ctx, vma.file, fp0, fp0 + pages, self.cfg.kmmap)?;
-        // Downgrade written-back mappings so future writes re-fault.
-        race::acquire(ctx, LOCK_PT);
-        let mut pt = self.pt.lock();
-        for i in 0..pages {
-            if let Some(pte) = pt.get_mut(&(start_vpn + i)) {
-                pte.writable = false;
-            }
-        }
-        drop(pt);
-        race::write(ctx, VAR_PT);
-        race::release(ctx, LOCK_PT);
+        // Flush the write-protected mappings from every TLB.
         self.shootdown(ctx, 1);
         Ok(())
     }
@@ -611,39 +697,59 @@ impl LinuxMmap {
         coalesce: bool,
     ) -> Result<(), LinuxError> {
         let dirty = self.cache.dirty_range(ctx, file, start, end);
-        if coalesce {
-            // kmmap: merge contiguous pages into large I/Os.
-            let mut i = 0usize;
-            while i < dirty.len() {
-                let mut run = 1usize;
-                while i + run < dirty.len() && dirty[i + run].0 .1 == dirty[i].0 .1 + run as u64 {
-                    run += 1;
-                }
+        let mut i = 0usize;
+        while i < dirty.len() {
+            // kmmap merges contiguous pages into large I/Os; vanilla
+            // writes back page-at-a-time.
+            let mut run = 1usize;
+            while coalesce
+                && i + run < dirty.len()
+                && dirty[i + run].0 .1 == dirty[i].0 .1 + run as u64
+            {
+                run += 1;
+            }
+            let batch = &dirty[i..i + run];
+            let dev_page = self.file_dev_page(file, batch[0].0 .1)?;
+            if let [(_, frame)] = *batch {
+                self.cache
+                    .with_frame(frame, |data| self.dev.write_pages(ctx, dev_page, data));
+            } else {
                 let mut data = vec![0u8; run * 4096];
-                for (j, &(_, frame)) in dirty[i..i + run].iter().enumerate() {
+                for (j, &(_, frame)) in batch.iter().enumerate() {
                     self.cache
                         .read_frame(frame, 0, &mut data[j * 4096..(j + 1) * 4096]);
                 }
-                let dev_page = self.file_dev_page(file, dirty[i].0 .1)?;
                 self.dev.write_pages(ctx, dev_page, &data);
-                for &(k, _) in &dirty[i..i + run] {
-                    self.cache.clear_dirty(ctx, k);
-                    ctx.counters().writebacks += 1;
-                }
-                i += run;
             }
-        } else {
-            // Vanilla: page-at-a-time writeback.
-            for &(k, frame) in &dirty {
-                let mut data = vec![0u8; 4096];
-                self.cache.read_frame(frame, 0, &mut data);
-                let dev_page = self.file_dev_page(file, k.1)?;
-                self.dev.write_pages(ctx, dev_page, &data);
+            for &(k, _) in batch {
                 self.cache.clear_dirty(ctx, k);
                 ctx.counters().writebacks += 1;
             }
+            self.write_protect(ctx, batch);
+            i += run;
         }
         Ok(())
+    }
+
+    /// Write-protects every mapping of the written-back `pages`, so the
+    /// next store through any of them re-faults (`page_mkwrite`) and
+    /// re-dirties the page instead of being lost at eviction.
+    fn write_protect(&self, ctx: &mut dyn SimCtx, pages: &[(Key, u32)]) {
+        race::acquire(ctx, LOCK_PT);
+        race::acquire(ctx, LOCK_RMAP);
+        let mut pt = self.pt.lock();
+        let rmap = self.rmap.lock();
+        for vpn in pages.iter().filter_map(|(k, _)| rmap.get(k)).flatten() {
+            if let Some(pte) = pt.get_mut(vpn) {
+                pte.writable = false;
+            }
+        }
+        race::write(ctx, VAR_PT);
+        race::read(ctx, VAR_RMAP);
+        drop(rmap);
+        drop(pt);
+        race::release(ctx, LOCK_RMAP);
+        race::release(ctx, LOCK_PT);
     }
 
     /// Direct-I/O positional write (`pwrite` with O_DIRECT): one syscall
@@ -677,6 +783,46 @@ impl LinuxMmap {
         ctx.counters().syscalls += 1;
         let dev_page = self.file_dev_page(file.0, page)?;
         self.dev.read_pages(ctx, dev_page, buf);
+        Ok(())
+    }
+
+    /// Checks the engine's invariants: PTEs and rmap lists agree in both
+    /// directions with no vpn listed twice, each PTE maps its page's
+    /// cached frame, every writable PTE maps a dirty page, and the page
+    /// cache conserves its frames. Host-side only: charges nothing.
+    pub fn audit(&self) -> Result<(), AuditError> {
+        self.cache.audit()?;
+        let vmas = self.vmas.lock();
+        let pt = self.pt.lock();
+        let rmap = self.rmap.lock();
+        let key_of = |vpn: u64| vmas.iter().find(|v| v.contains(vpn)).map(|v| v.key(vpn));
+        let mut listed = DetSet::new();
+        for (&key, vpns) in rmap.iter() {
+            for &vpn in vpns {
+                if !listed.insert(vpn) {
+                    return Err(AuditError::DuplicateRmap { vpn });
+                }
+                if !pt.contains_key(&vpn) || key_of(vpn) != Some(key) {
+                    return Err(AuditError::StaleRmap { key, vpn });
+                }
+            }
+        }
+        for (&vpn, pte) in pt.iter() {
+            let key = key_of(vpn).ok_or(AuditError::PteOutsideVma { vpn })?;
+            if !listed.contains(&vpn) {
+                return Err(AuditError::PteWithoutRmap { vpn });
+            }
+            let (frame, dirty) = self.cache.peek(key).unwrap_or((u32::MAX, false));
+            if frame != pte.frame {
+                return Err(AuditError::PteFrame {
+                    vpn,
+                    frame: pte.frame,
+                });
+            }
+            if pte.writable && !dirty {
+                return Err(AuditError::WritableClean { vpn });
+            }
+        }
         Ok(())
     }
 
@@ -723,6 +869,7 @@ mod tests {
         let mut back = [0u8; 10];
         lm.read(&mut ctx, vpn << 12, &mut back).unwrap();
         assert_eq!(&back, b"linux data");
+        assert_eq!(lm.audit(), Ok(()));
     }
 
     #[test]
@@ -736,6 +883,7 @@ mod tests {
             ctx.breakdown.get(CostCat::Trap),
             Cycles(1287 * ctx.stats.page_faults)
         );
+        assert_eq!(lm.audit(), Ok(()));
     }
 
     #[test]
@@ -751,6 +899,7 @@ mod tests {
         let major = ctx.stats.major_faults;
         lm.read(&mut ctx, (vpn + 5) << 12, &mut b).unwrap();
         assert_eq!(ctx.stats.major_faults, major);
+        assert_eq!(lm.audit(), Ok(()));
     }
 
     #[test]
@@ -764,6 +913,7 @@ mod tests {
         let mut b = [0u8; 1];
         lm.read(&mut ctx, vpn << 12, &mut b).unwrap();
         assert_eq!(ctx.stats.readahead_pages, 0);
+        assert_eq!(lm.audit(), Ok(()));
     }
 
     #[test]
@@ -778,6 +928,7 @@ mod tests {
         lm.write(&mut ctx, vpn << 12, &[9]).unwrap();
         assert!(ctx.stats.page_faults > faults, "page_mkwrite fault");
         assert_eq!(lm.cache().dirty_count(), 1);
+        assert_eq!(lm.audit(), Ok(()));
     }
 
     #[test]
@@ -794,6 +945,7 @@ mod tests {
             lm.read(&mut ctx, (vpn + p) << 12, &mut b).unwrap();
             assert_eq!(b[0], p as u8, "page {p}");
         }
+        assert_eq!(lm.audit(), Ok(()));
     }
 
     #[test]
@@ -810,6 +962,7 @@ mod tests {
         let faults = ctx.stats.page_faults;
         lm.write(&mut ctx, vpn << 12, &[2]).unwrap();
         assert!(ctx.stats.page_faults > faults);
+        assert_eq!(lm.audit(), Ok(()));
     }
 
     #[test]
@@ -826,6 +979,7 @@ mod tests {
             lm.write(&mut ctx, vpn << 12, &[1]),
             Err(LinuxError::Protection(_))
         ));
+        assert_eq!(lm.audit(), Ok(()));
     }
 
     #[test]
@@ -840,6 +994,7 @@ mod tests {
         let vpn2 = lm.mmap(&mut ctx, f, 0, 8, false).unwrap();
         lm.read(&mut ctx, vpn2 << 12, &mut b).unwrap();
         assert_eq!(ctx.stats.major_faults, major, "page cache survived munmap");
+        assert_eq!(lm.audit(), Ok(()));
     }
 
     #[test]
@@ -857,5 +1012,111 @@ mod tests {
         }
         assert!(ctx.stats.writebacks > 0, "lazy flush fired");
         assert!(lm.cache().dirty_count() < 40);
+        assert_eq!(lm.audit(), Ok(()));
+    }
+
+    fn kmmap_engine(frames: usize, flush_ratio: f64) -> (FreeCtx, LinuxMmap) {
+        let dev = KernelDevice::Pmem(Arc::new(PmemDevice::dram_backed(4096)));
+        let mut cfg = LinuxConfig::kmmap(1, frames);
+        cfg.kmmap_flush_ratio = flush_ratio;
+        let lm = LinuxMmap::new(cfg, dev, Arc::new(CoreDebts::new(1)));
+        (FreeCtx::new(3), lm)
+    }
+
+    #[test]
+    fn store_after_lazy_flush_survives_eviction() {
+        // 16 frames at ratio 0.1: more than one dirty page flushes.
+        let (mut ctx, lm) = kmmap_engine(16, 0.1);
+        let f = lm.open_file(64).unwrap();
+        let vpn = lm.mmap(&mut ctx, f, 0, 64, true).unwrap();
+        lm.write(&mut ctx, vpn << 12, &[1]).unwrap();
+        lm.write(&mut ctx, (vpn + 1) << 12, &[1]).unwrap();
+        assert_eq!(
+            ctx.stats.writebacks, 2,
+            "second dirty page forced a lazy flush"
+        );
+        assert_eq!(lm.audit(), Ok(()));
+        // The flush write-protected page 0, so this store re-dirties it.
+        let faults = ctx.stats.page_faults;
+        lm.write(&mut ctx, vpn << 12, &[2]).unwrap();
+        assert_eq!(ctx.stats.page_faults, faults + 1, "page_mkwrite fault");
+        assert_eq!(lm.audit(), Ok(()));
+        // Stream through the rest of the file to evict page 0.
+        let mut b = [0u8; 1];
+        for p in 2..64u64 {
+            lm.read(&mut ctx, (vpn + p) << 12, &mut b).unwrap();
+        }
+        assert!(lm.cache().peek((f.0, 0)).is_none(), "page 0 evicted");
+        lm.read(&mut ctx, vpn << 12, &mut b).unwrap();
+        assert_eq!(b[0], 2, "the store after the flush reached the device");
+        assert_eq!(lm.audit(), Ok(()));
+    }
+
+    #[test]
+    fn munmap_leaves_other_mappings_of_a_page_intact() {
+        let (mut ctx, lm) = engine(64);
+        let f = lm.open_file(128).unwrap();
+        let a = lm.mmap(&mut ctx, f, 0, 128, true).unwrap();
+        let b = lm.mmap(&mut ctx, f, 0, 128, true).unwrap();
+        lm.write(&mut ctx, (a + 3) << 12, b"shared").unwrap();
+        let mut buf = [0u8; 6];
+        lm.read(&mut ctx, (b + 3) << 12, &mut buf).unwrap();
+        assert_eq!(lm.rmap.lock()[&(f.0, 3)], vec![a + 3, b + 3]);
+
+        lm.munmap(&mut ctx, a, 128);
+        assert_eq!(lm.audit(), Ok(()));
+        assert!(
+            lm.rmap
+                .lock()
+                .values()
+                .flatten()
+                .all(|&v| !(a..a + 128).contains(&v)),
+            "no rmap list holds an unmapped vpn"
+        );
+        assert_eq!(lm.rmap.lock()[&(f.0, 3)], vec![b + 3]);
+        buf.fill(0);
+        lm.read(&mut ctx, (b + 3) << 12, &mut buf).unwrap();
+        assert_eq!(&buf, b"shared", "survivor reads the right bytes");
+
+        // Stream the rest of the file through the 64-frame cache: the
+        // eviction of page 3 must unmap the survivor too.
+        for p in 32..128u64 {
+            lm.read(&mut ctx, (b + p) << 12, &mut buf[..1]).unwrap();
+        }
+        assert!(lm.cache().peek((f.0, 3)).is_none(), "page 3 evicted");
+        assert!(!lm.pt.lock().contains_key(&(b + 3)), "survivor unmapped");
+        let major = ctx.stats.major_faults;
+        lm.read(&mut ctx, (b + 3) << 12, &mut buf).unwrap();
+        assert_eq!(
+            ctx.stats.major_faults,
+            major + 1,
+            "next read is a major fault"
+        );
+        assert_eq!(&buf, b"shared", "written back on eviction");
+        assert_eq!(lm.audit(), Ok(()));
+    }
+
+    #[test]
+    fn audit_catches_a_writable_clean_pte() {
+        let (mut ctx, lm) = engine(64);
+        let f = lm.open_file(8).unwrap();
+        let vpn = lm.mmap(&mut ctx, f, 0, 8, true).unwrap();
+        lm.write(&mut ctx, vpn << 12, &[1]).unwrap();
+        lm.cache.clear_dirty(&mut ctx, (f.0, 0));
+        assert_eq!(lm.audit(), Err(AuditError::WritableClean { vpn }));
+    }
+
+    #[test]
+    fn audit_catches_a_stale_rmap_entry() {
+        let (mut ctx, lm) = engine(64);
+        let f = lm.open_file(8).unwrap();
+        let vpn = lm.mmap(&mut ctx, f, 0, 8, false).unwrap();
+        let mut b = [0u8; 1];
+        lm.read(&mut ctx, vpn << 12, &mut b).unwrap();
+        lm.pt.lock().remove(&vpn);
+        assert_eq!(
+            lm.audit(),
+            Err(AuditError::StaleRmap { key: (f.0, 0), vpn })
+        );
     }
 }

@@ -11,6 +11,8 @@ use aquila_sync::{DetMap, Mutex, RwLock};
 
 use aquila_sim::{race, CostCat, Cycles, SimCtx, SimMutex};
 
+use crate::mmap::AuditError;
+
 /// A (file, page) key in the page cache.
 pub type Key = (u32, u64);
 
@@ -295,17 +297,24 @@ impl KernelPageCache {
         self.take_tree_lock(ctx, file, TREE_HOLD * 4);
         race::acquire(ctx, LOCK_INNER);
         let inner = self.inner.lock();
-        let mut v: Vec<(Key, u32)> = inner
+        // The dirty set is ordered by (file, page): walk just the range.
+        let v: Vec<(Key, u32)> = inner
             .dirty
-            .keys()
-            .filter(|&&(f, p)| f == file && (start..end).contains(&p))
-            .map(|&k| (k, inner.tree[&k]))
+            .range((file, start)..(file, end.max(start)))
+            .map(|(&k, _)| (k, inner.tree[&k]))
             .collect();
         drop(inner);
         race::read(ctx, VAR_INNER);
         race::release(ctx, LOCK_INNER);
-        v.sort();
         v
+    }
+
+    /// A cached page's frame and dirty bit, read host-side without the
+    /// tree lock or an LRU touch (audits and tests; charges nothing).
+    pub fn peek(&self, key: Key) -> Option<(u32, bool)> {
+        let inner = self.inner.lock();
+        let frame = *inner.tree.get(&key)?;
+        Some((frame, inner.dirty.contains_key(&key)))
     }
 
     /// Free frames remaining.
@@ -357,6 +366,50 @@ impl KernelPageCache {
         let mut data = self.frames[frame as usize].write();
         data[offset..offset + buf.len()].copy_from_slice(buf);
     }
+
+    /// Fills a whole frame by exchanging its page buffer with `page`,
+    /// which gets the frame's old buffer back (no copy).
+    pub fn swap_frame(&self, frame: u32, page: &mut Box<[u8]>) {
+        let mut data = self.frames[frame as usize].write();
+        assert_eq!(data.len(), page.len(), "whole-page swap");
+        std::mem::swap(&mut *data, page);
+    }
+
+    /// Runs `f` over a frame's bytes in place (writeback without a copy).
+    pub fn with_frame<R>(&self, frame: u32, f: impl FnOnce(&[u8]) -> R) -> R {
+        f(&self.frames[frame as usize].read())
+    }
+
+    /// Checks frame conservation (`free + resident == capacity`, each
+    /// frame either free or owned by exactly one key), `owner`/`tree`
+    /// agreement, and that every dirty key is resident.
+    pub fn audit(&self) -> Result<(), AuditError> {
+        let inner = self.inner.lock();
+        let (free, resident, capacity) = (inner.free.len(), inner.tree.len(), self.capacity());
+        if free + resident != capacity {
+            return Err(AuditError::FrameCount {
+                free,
+                resident,
+                capacity,
+            });
+        }
+        for (&key, &frame) in inner.tree.iter() {
+            if inner.owner[frame as usize] != Some(key) || !inner.lru.linked[frame as usize] {
+                return Err(AuditError::FrameOwner { frame });
+            }
+        }
+        let mut on_free_list = vec![false; capacity];
+        for &frame in &inner.free {
+            let twice = std::mem::replace(&mut on_free_list[frame as usize], true);
+            if twice || inner.owner[frame as usize].is_some() || inner.lru.linked[frame as usize] {
+                return Err(AuditError::FrameOwner { frame });
+            }
+        }
+        if let Some(&key) = inner.dirty.keys().find(|k| !inner.tree.contains_key(k)) {
+            return Err(AuditError::DirtyNotResident { key });
+        }
+        Ok(())
+    }
 }
 
 impl core::fmt::Debug for KernelPageCache {
@@ -389,6 +442,7 @@ mod tests {
         let mut buf = [0u8; 6];
         c.read_frame(got, 0, &mut buf);
         assert_eq!(&buf, b"kernel");
+        assert_eq!(c.audit(), Ok(()));
     }
 
     #[test]
@@ -403,6 +457,7 @@ mod tests {
         assert_eq!(victim.unwrap().key, (0, 2));
         assert!(c.lookup(&mut ctx, (0, 1)).is_some());
         assert!(c.lookup(&mut ctx, (0, 2)).is_none());
+        assert_eq!(c.audit(), Ok(()));
     }
 
     #[test]
@@ -416,6 +471,7 @@ mod tests {
         let v = victim.unwrap();
         assert!(v.dirty, "dirty victim flagged for writeback");
         assert_eq!(c.dirty_count(), 0);
+        assert_eq!(c.audit(), Ok(()));
     }
 
     #[test]
@@ -433,6 +489,7 @@ mod tests {
         assert_eq!(pages, vec![1, 3]);
         c.clear_dirty(&mut ctx, (1, 1));
         assert_eq!(c.dirty_count(), 3);
+        assert_eq!(c.audit(), Ok(()));
     }
 
     #[test]
@@ -446,6 +503,7 @@ mod tests {
         assert_eq!(a.breakdown.get(CostCat::LockWait), Cycles::ZERO);
         assert_eq!(b.breakdown.get(CostCat::LockWait), TREE_HOLD);
         assert_eq!(c.tree_lock_contended(), 1);
+        assert_eq!(c.audit(), Ok(()));
     }
 
     #[test]
@@ -459,5 +517,6 @@ mod tests {
         assert!(!p1);
         assert!(p2, "second insert sees the cached page");
         assert_eq!(c.resident(), 1);
+        assert_eq!(c.audit(), Ok(()));
     }
 }

@@ -92,5 +92,6 @@ mod tests {
         region.sync(&mut ctx, 0, region.len());
         assert!(ctx.stats.page_faults > 0);
         assert!(ctx.stats.writebacks > 0);
+        assert_eq!(lm.audit(), Ok(()));
     }
 }

@@ -197,6 +197,14 @@ grep -q 'aquila.fault' "$tmp/fig10.folded" ||
 grep -q 'aquila.fault' "$tmp/flame.txt" ||
     { echo "FAIL: aquila-prof stage table has no fault stage" >&2; exit 1; }
 
+step "fig10 fit host-time smoke (must finish within 120 s)"
+# linuxsim's munmap once scanned every rmap list per unmapped page, which
+# made this part take minutes of host time; keyed removal brings it to a
+# few seconds. The timeout fails the run if a quadratic path returns.
+timeout 120 cargo run --release -q -p aquila-bench --bin fig10 -- fit \
+    > "$tmp/fig10fit.txt" ||
+    { echo "FAIL: fig10 fit did not finish within 120 s" >&2; exit 1; }
+
 step "aquila-prof baseline gate vs committed golden report (expected pass)"
 "$prof" check "$tmp/lat1.json" --baseline results/golden/sweep_latency.json ||
     { echo "FAIL: latency regressed vs results/golden/sweep_latency.json" >&2; exit 1; }

@@ -364,6 +364,78 @@ fn spill_free_fault_counts_match_tree_path() {
     }
 }
 
+/// linuxsim keeps its invariants (`LinuxMmap::audit`: PTE/rmap agreement,
+/// write-protect of clean pages, frame conservation) and reads back
+/// exactly what was written, under random mmap/munmap/read/write/msync
+/// sequences over two mappings of one file that does not fit the cache.
+#[test]
+fn linuxsim_random_ops_keep_invariants() {
+    use aquila_devices::{NvmeDevice, PmemDevice};
+    use aquila_linuxsim::{KernelDevice, LinuxConfig, LinuxMmap};
+    use aquila_sim::CoreDebts;
+
+    const FILE_PAGES: u64 = 96;
+    const CACHE_FRAMES: usize = 48;
+    const OPS: usize = 300;
+
+    let mut rng = Rng64::new(0x11_4E);
+    for case in 0..16u64 {
+        let kmmap = case % 2 == 1;
+        let dev = if case % 4 < 2 {
+            KernelDevice::Pmem(Arc::new(PmemDevice::dram_backed(FILE_PAGES)))
+        } else {
+            KernelDevice::Nvme(Arc::new(NvmeDevice::optane(FILE_PAGES)))
+        };
+        let cfg = if kmmap {
+            LinuxConfig::kmmap(2, CACHE_FRAMES)
+        } else {
+            LinuxConfig::linux(2, CACHE_FRAMES)
+        };
+        let lm = LinuxMmap::new(cfg, dev, Arc::new(CoreDebts::new(2)));
+        let mut ctx = FreeCtx::new(case);
+        let file = lm.open_file(FILE_PAGES).unwrap();
+        let mut model = vec![0u8; (FILE_PAGES * 4096) as usize];
+        // Two mapping slots: (base vpn, first file page, pages).
+        let mut maps: [Option<(u64, u64, u64)>; 2] = [None, None];
+        for _ in 0..OPS {
+            let slot = rng.below(2) as usize;
+            let Some((vpn, first, pages)) = maps[slot] else {
+                let first = rng.below(FILE_PAGES);
+                let pages = rng.range(1, FILE_PAGES - first);
+                let vpn = lm.mmap(&mut ctx, file, first, pages, true).unwrap();
+                maps[slot] = Some((vpn, first, pages));
+                continue;
+            };
+            let page = rng.below(pages);
+            let off = rng.below(4096 - 8);
+            let at = ((first + page) * 4096 + off) as usize;
+            let addr = ((vpn + page) << 12) + off;
+            match rng.below(10) {
+                0..=3 => {
+                    let val = rng.next_u64().to_le_bytes();
+                    lm.write(&mut ctx, addr, &val).unwrap();
+                    model[at..at + 8].copy_from_slice(&val);
+                }
+                4..=7 => {
+                    let mut buf = [0u8; 8];
+                    lm.read(&mut ctx, addr, &mut buf).unwrap();
+                    assert_eq!(buf, model[at..at + 8], "case {case}: read at {at}");
+                }
+                8 => lm.msync(&mut ctx, vpn + page, pages - page).unwrap(),
+                _ => {
+                    lm.munmap(&mut ctx, vpn, pages);
+                    maps[slot] = None;
+                }
+            }
+            assert_eq!(lm.audit(), Ok(()), "case {case}");
+        }
+        assert!(
+            ctx.stats.evictions > 0,
+            "case {case}: the cache never filled"
+        );
+    }
+}
+
 /// Coalesced writeback runs preserve exactly the input pages, in
 /// order, and every run is contiguous within one file.
 #[test]
