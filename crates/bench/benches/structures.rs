@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aquila_kvstore::{SstReader, SstWriter};
-use aquila_linuxsim::{KernelDevice, LinuxConfig, LinuxMmap};
+use aquila_linuxsim::{KernelDevice, KernelPageCache, LinuxConfig, LinuxMmap};
 use aquila_mmu::{Access, Gva, PageTable, PteFlags, Vpn};
 use aquila_pcache::{ClockLru, Freelist, FreelistConfig, LockFreeMap, NumaTopology, PageKey};
 use aquila_sim::FreeCtx;
@@ -221,15 +221,31 @@ fn bench_linuxsim() {
     );
 
     // A major fault with Linux's 32-page readahead, in steady state: a
-    // cold file 16x the cache, so each fault also reclaims 32 pages.
+    // cold file 16x the cache, so each fault also reclaims 32 pages. The
+    // file is written first, so every fill reads real device pages
+    // rather than never-written ones.
     const FILE: u64 = 65_536;
     let lm = linux_engine(FILE, 4096);
     let f = lm.open_file(FILE).expect("open");
+    let chunk: Vec<u8> = (0..256 * 4096).map(|i| (i % 251) as u8 + 1).collect();
+    for first in (0..FILE).step_by(256) {
+        lm.pwrite_direct(&mut ctx, f, first, &chunk)
+            .expect("populate");
+    }
     let vpn = lm.mmap(&mut ctx, f, 0, FILE, false).expect("map");
     let mut p = 0u64;
     bench("linuxsim", "major_fault_ra32", 20_000, || {
         p = (p + 32) % FILE;
         lm.read(&mut ctx, (vpn + p) << 12, &mut buf)
+    });
+
+    // One page-cache insert that evicts the LRU page: a full cache and a
+    // key stream 16x its size (the readahead fill's per-page index work).
+    let cache = KernelPageCache::new(4096);
+    let mut p = 0u64;
+    bench("linuxsim", "pagecache_insert_evict", 1_000_000, || {
+        p = (p + 1) % FILE;
+        cache.insert(&mut ctx, (0, p))
     });
 }
 

@@ -115,10 +115,14 @@ impl Json {
 
     /// Parses a JSON document (strict enough for our own reports and
     /// Chrome trace exports; rejects trailing garbage).
+    ///
+    /// Input may come from outside the workspace, so nesting is bounded
+    /// by [`MAX_DEPTH`] (no stack overflow) and numbers must be finite.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -216,9 +220,25 @@ fn newline(out: &mut String, indent: usize) {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
+
+/// What kind of input a [`ParseError`] rejected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// Malformed JSON.
+    Syntax,
+    /// Arrays and objects nested deeper than [`MAX_DEPTH`].
+    TooDeep,
+    /// A number outside the finite `f64` range, such as `1e999`.
+    NonFinite,
+}
+
 /// A parse failure with a byte offset for context.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
+    /// What kind of input was rejected.
+    pub kind: ParseErrorKind,
     /// What went wrong.
     pub msg: String,
     /// Byte offset into the input.
@@ -236,11 +256,18 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn err(&self, msg: &str) -> ParseError {
+        self.fail(ParseErrorKind::Syntax, msg)
+    }
+
+    fn fail(&self, kind: ParseErrorKind, msg: &str) -> ParseError {
         ParseError {
+            kind,
             msg: msg.to_string(),
             at: self.pos,
         }
@@ -280,8 +307,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.fail(ParseErrorKind::TooDeep, "nested too deeply"));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
@@ -413,9 +451,11 @@ impl<'a> Parser<'a> {
                 return Ok(Json::U64(v));
             }
         }
-        text.parse::<f64>()
-            .map(Json::F64)
-            .map_err(|_| self.err("bad number"))
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::F64(v)),
+            Ok(_) => Err(self.fail(ParseErrorKind::NonFinite, "number out of range")),
+            Err(_) => Err(self.err("bad number")),
+        }
     }
 }
 
@@ -521,6 +561,31 @@ mod tests {
         assert!(Json::parse("[1, 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let deep = "[".repeat(200_000);
+        let e = Json::parse(&deep).unwrap_err();
+        assert_eq!(e.kind, ParseErrorKind::TooDeep);
+        assert_eq!(e.at, MAX_DEPTH);
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let objs = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert_eq!(
+            Json::parse(&objs).unwrap_err().kind,
+            ParseErrorKind::TooDeep
+        );
+    }
+
+    #[test]
+    fn parse_rejects_non_finite_numbers() {
+        for text in ["1e999", "-1e999", "[0, 1E400]", &"9".repeat(400)] {
+            let e = Json::parse(text).unwrap_err();
+            assert_eq!(e.kind, ParseErrorKind::NonFinite, "{text}");
+        }
+        assert_eq!(Json::parse("1e308"), Ok(Json::F64(1e308)));
+        assert_eq!(Json::parse("1e").unwrap_err().kind, ParseErrorKind::Syntax);
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! kernel's scalar `memcpy` (~2400 cycles / 4 KiB) from Aquila's AVX2
 //! streaming copy (~900 + 300 cycles FPU save/restore).
 
+use std::sync::Arc;
+
 use aquila_sim::{Cycles, ServiceCenter, SimCtx};
 
 use crate::error::DeviceError;
-use crate::store::{PageStore, STORE_PAGE};
+use crate::store::{Page, PageStore, STORE_PAGE};
 
 /// Performance profile for a pmem DIMM region.
 #[derive(Debug, Clone)]
@@ -100,26 +102,31 @@ impl PmemDevice {
         buf: &mut [u8],
         simd: bool,
     ) -> Result<Cycles, DeviceError> {
-        self.dax_readv(ctx, pos, &mut [buf], simd)
+        let before = ctx.now();
+        self.store.read_range(pos, buf)?;
+        Ok(self.charge_read(ctx, buf.len() as u64, simd, before))
     }
 
-    /// Vectored [`Self::dax_read`]: fills `bufs` in order from the
-    /// contiguous device range starting at `pos`, charged as one copy of
-    /// the total length.
-    pub fn dax_readv<B: AsMut<[u8]>>(
+    /// Hands out the buffers of the `count` pages starting at `page`
+    /// instead of copying them, charged exactly as a [`Self::dax_read`]
+    /// of the same length. The buffers are copy-on-write: later device
+    /// writes leave them unchanged.
+    pub fn dax_share_read(
         &self,
         ctx: &mut dyn SimCtx,
-        pos: u64,
-        bufs: &mut [B],
+        page: u64,
+        count: usize,
         simd: bool,
-    ) -> Result<Cycles, DeviceError> {
+    ) -> Result<Vec<Arc<Page>>, DeviceError> {
         let before = ctx.now();
-        let mut len = 0u64;
-        for buf in bufs.iter_mut() {
-            let buf = buf.as_mut();
-            self.store.read_range(pos + len, buf)?;
-            len += buf.len() as u64;
-        }
+        let pages = (page..page + count as u64)
+            .map(|p| self.store.share(p))
+            .collect::<Result<Vec<_>, _>>()?;
+        self.charge_read(ctx, (count * STORE_PAGE) as u64, simd, before);
+        Ok(pages)
+    }
+
+    fn charge_read(&self, ctx: &mut dyn SimCtx, len: u64, simd: bool, before: Cycles) -> Cycles {
         let copy = ctx.cost().memcpy(len, simd);
         let r = self
             .service
@@ -129,7 +136,7 @@ impl PmemDevice {
         ctx.counters().device_reads += 1;
         ctx.counters().bytes_read += len;
         aquila_sim::trace::span(ctx, "pmem.memcpy.read", aquila_sim::CostCat::Memcpy, before);
-        Ok(ctx.now() - before)
+        ctx.now() - before
     }
 
     /// DAX copy of `buf` to device offset `pos`; mirror of [`Self::dax_read`].
@@ -142,21 +149,41 @@ impl PmemDevice {
     ) -> Result<Cycles, DeviceError> {
         let before = ctx.now();
         self.store.write_range(pos, buf)?;
-        let copy = ctx.cost().memcpy(buf.len() as u64, simd);
+        Ok(self.charge_write(ctx, buf.len() as u64, simd, before))
+    }
+
+    /// Makes `data` the contents of `page` by sharing the buffer instead
+    /// of copying it, charged exactly as a [`Self::dax_write`] of one
+    /// page. A later write on either side copies first, so the caller's
+    /// buffer and the device page stay independent.
+    pub fn dax_share_write(
+        &self,
+        ctx: &mut dyn SimCtx,
+        page: u64,
+        data: Arc<Page>,
+        simd: bool,
+    ) -> Result<Cycles, DeviceError> {
+        let before = ctx.now();
+        self.store.install(page, data)?;
+        Ok(self.charge_write(ctx, STORE_PAGE as u64, simd, before))
+    }
+
+    fn charge_write(&self, ctx: &mut dyn SimCtx, len: u64, simd: bool, before: Cycles) -> Cycles {
+        let copy = ctx.cost().memcpy(len, simd);
         let r = self
             .service
-            .submit(ctx.now(), self.profile.load_latency, buf.len() as u64);
+            .submit(ctx.now(), self.profile.load_latency, len);
         ctx.charge(aquila_sim::CostCat::Memcpy, copy);
         ctx.wait_until(r.end, aquila_sim::CostCat::DeviceIo);
         ctx.counters().device_writes += 1;
-        ctx.counters().bytes_written += buf.len() as u64;
+        ctx.counters().bytes_written += len;
         aquila_sim::trace::span(
             ctx,
             "pmem.memcpy.write",
             aquila_sim::CostCat::Memcpy,
             before,
         );
-        Ok(ctx.now() - before)
+        ctx.now() - before
     }
 
     /// Page-granular DAX read (the common fault-fill size).
@@ -205,7 +232,7 @@ impl core::fmt::Debug for PmemDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aquila_sim::{CostCat, FreeCtx};
+    use aquila_sim::{trace::TraceEvent, CostCat, FreeCtx};
 
     #[test]
     fn dax_roundtrip_preserves_data() {
@@ -253,26 +280,112 @@ mod tests {
         assert!(ctx.now() >= Cycles::from_micros(50), "paced: {}", ctx.now());
     }
 
+    /// Runs `op` on a fresh context on vcore `core` (unique per call)
+    /// with the device timing reset, and returns everything it charged —
+    /// clock, breakdown, counters and the trace spans it emitted — as one
+    /// comparable string.
+    fn charged(dev: &PmemDevice, core: usize, op: impl FnOnce(&mut FreeCtx)) -> String {
+        let tracer = aquila_sim::trace::install(aquila_sim::trace::DEFAULT_CAPACITY);
+        dev.reset_timing();
+        let mut ctx = FreeCtx::new(1).with_core(core, core + 1);
+        op(&mut ctx);
+        let spans: Vec<String> = tracer
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Span {
+                    name,
+                    cat,
+                    core: c,
+                    start,
+                    dur,
+                } if *c == core => Some(format!("{name} {cat:?} {start:?} {dur:?}")),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(spans.len(), 1, "one device span: {spans:?}");
+        format!(
+            "{:?} {:?} {:?} {spans:?}",
+            ctx.now(),
+            ctx.breakdown,
+            ctx.stats
+        )
+    }
+
     #[test]
-    fn readv_matches_one_contiguous_read() {
+    fn share_read_charges_like_one_contiguous_read() {
         let dev = PmemDevice::dram_backed(8);
         let data: Vec<u8> = (0..3 * STORE_PAGE).map(|i| (i % 251) as u8).collect();
         dev.dax_write(&mut FreeCtx::new(1), STORE_PAGE as u64, &data, false)
             .unwrap();
-        dev.reset_timing();
-        let mut one = FreeCtx::new(1);
         let mut flat = vec![0u8; data.len()];
-        dev.dax_read(&mut one, STORE_PAGE as u64, &mut flat, false)
+        let copied = charged(&dev, 9001, |ctx| {
+            dev.dax_read(ctx, STORE_PAGE as u64, &mut flat, false)
+                .unwrap();
+        });
+        let mut pages = Vec::new();
+        let shared = charged(&dev, 9002, |ctx| {
+            pages = dev.dax_share_read(ctx, 1, 3, false).unwrap();
+        });
+        assert_eq!(shared, copied);
+        assert_eq!(
+            pages
+                .iter()
+                .flat_map(|p| p.iter().copied())
+                .collect::<Vec<u8>>(),
+            data
+        );
+        assert_eq!(flat, data);
+    }
+
+    #[test]
+    fn share_write_charges_like_a_page_write() {
+        let dev = PmemDevice::dram_backed(4);
+        let data = Arc::new([0x5Au8; STORE_PAGE]);
+        let copied = charged(&dev, 9003, |ctx| {
+            dev.dax_write_page(ctx, 1, &data[..], true).unwrap();
+        });
+        let shared = charged(&dev, 9004, |ctx| {
+            dev.dax_share_write(ctx, 2, Arc::clone(&data), true)
+                .unwrap();
+        });
+        assert_eq!(shared, copied);
+        let mut back = vec![0u8; STORE_PAGE];
+        dev.dax_read_page(&mut FreeCtx::new(1), 2, &mut back, false)
             .unwrap();
-        dev.reset_timing();
-        let mut vec_ctx = FreeCtx::new(1);
-        let mut pages = vec![vec![0u8; STORE_PAGE]; 3];
-        dev.dax_readv(&mut vec_ctx, STORE_PAGE as u64, &mut pages, false)
+        assert_eq!(back, data[..]);
+    }
+
+    #[test]
+    fn shared_pages_are_copy_on_write() {
+        let dev = PmemDevice::dram_backed(4);
+        let mut ctx = FreeCtx::new(1);
+        let never_written = dev.dax_share_read(&mut ctx, 0, 2, false).unwrap();
+        assert!(never_written.iter().all(|p| p.iter().all(|&b| b == 0)));
+        dev.dax_write(&mut ctx, 0, b"before", false).unwrap();
+        let shared = dev.dax_share_read(&mut ctx, 0, 1, false).unwrap();
+        dev.dax_write(&mut ctx, 0, b"after!", false).unwrap();
+        assert_eq!(&shared[0][..6], b"before", "device write after share");
+        let mine = Arc::new([1u8; STORE_PAGE]);
+        dev.dax_share_write(&mut ctx, 3, Arc::clone(&mine), false)
             .unwrap();
-        assert_eq!(pages.concat(), data);
-        assert_eq!(vec_ctx.now(), one.now(), "charged as one read");
-        assert_eq!(vec_ctx.stats.device_reads, 1);
-        assert_eq!(vec_ctx.stats.bytes_read, data.len() as u64);
+        dev.dax_write(&mut ctx, 3 * STORE_PAGE as u64, &[2u8; 8], false)
+            .unwrap();
+        assert!(
+            mine.iter().all(|&b| b == 1),
+            "device write after share write"
+        );
+    }
+
+    #[test]
+    fn share_read_out_of_range_is_error() {
+        let dev = PmemDevice::dram_backed(4);
+        let mut ctx = FreeCtx::new(1);
+        assert!(matches!(
+            dev.dax_share_read(&mut ctx, 3, 2, false),
+            Err(DeviceError::OutOfRange { page: 4, .. })
+        ));
+        assert_eq!(ctx.now(), Cycles::ZERO, "nothing charged on error");
     }
 
     #[test]

@@ -4,6 +4,14 @@
 //! written, so the KV stores and graph workloads above verify actual data
 //! integrity through the whole mmio path. Per-page locks keep the store
 //! sound under real threads without serializing unrelated pages.
+//!
+//! Each page is a shared, copy-on-write buffer: [`PageStore::share`]
+//! hands out a reference instead of a copy (a kernel page-cache fill),
+//! [`PageStore::install`] takes one back (a whole-page writeback), and a
+//! write to a page someone else still holds copies it first, so a shared
+//! buffer never changes under its other holders.
+
+use std::sync::{Arc, OnceLock};
 
 use aquila_sync::RwLock;
 
@@ -12,9 +20,19 @@ use crate::error::DeviceError;
 /// Page size of the store (4 KiB).
 pub const STORE_PAGE: usize = 4096;
 
+/// One page of bytes.
+pub type Page = [u8; STORE_PAGE];
+
+/// The process-wide all-zero page. Never-written pages share it, and a
+/// write to it copies first like to any shared page.
+pub fn zero_page() -> Arc<Page> {
+    static ZERO: OnceLock<Arc<Page>> = OnceLock::new();
+    Arc::clone(ZERO.get_or_init(|| Arc::new([0u8; STORE_PAGE])))
+}
+
 /// A page-granular byte store.
 pub struct PageStore {
-    pages: Vec<RwLock<Option<Box<[u8]>>>>,
+    pages: Vec<RwLock<Option<Arc<Page>>>>,
 }
 
 impl PageStore {
@@ -38,7 +56,7 @@ impl PageStore {
         self.pages.iter().filter(|p| p.read().is_some()).count() as u64
     }
 
-    fn slot(&self, page: u64) -> Result<&RwLock<Option<Box<[u8]>>>, DeviceError> {
+    fn slot(&self, page: u64) -> Result<&RwLock<Option<Arc<Page>>>, DeviceError> {
         self.pages
             .get(page as usize)
             .ok_or(DeviceError::OutOfRange {
@@ -78,8 +96,23 @@ impl PageStore {
             });
         }
         let mut slot = self.slot(page)?.write();
-        let data = slot.get_or_insert_with(|| vec![0u8; STORE_PAGE].into_boxed_slice());
+        let data = Arc::make_mut(slot.get_or_insert_with(zero_page));
         data[offset..offset + buf.len()].copy_from_slice(buf);
+        Ok(())
+    }
+
+    /// Hands out `page`'s buffer without copying it (the shared zero page
+    /// if it was never written). Later writes to the store copy first, so
+    /// the returned bytes never change.
+    pub fn share(&self, page: u64) -> Result<Arc<Page>, DeviceError> {
+        Ok(self.slot(page)?.read().clone().unwrap_or_else(zero_page))
+    }
+
+    /// Makes `data` the whole contents of `page`, sharing the buffer with
+    /// whoever else holds it (they keep their bytes if the page is later
+    /// written here, and vice versa).
+    pub fn install(&self, page: u64, data: Arc<Page>) -> Result<(), DeviceError> {
+        *self.slot(page)?.write() = Some(data);
         Ok(())
     }
 
@@ -126,7 +159,7 @@ impl PageStore {
         let mut image = vec![0u8; self.pages.len() * STORE_PAGE];
         for (i, slot) in self.pages.iter().enumerate() {
             if let Some(data) = &*slot.read() {
-                image[i * STORE_PAGE..(i + 1) * STORE_PAGE].copy_from_slice(data);
+                image[i * STORE_PAGE..(i + 1) * STORE_PAGE].copy_from_slice(&data[..]);
             }
         }
         image
@@ -210,6 +243,34 @@ mod tests {
         assert_eq!(&img[STORE_PAGE + 8..STORE_PAGE + 11], b"mid");
         assert!(img[..STORE_PAGE].iter().all(|&b| b == 0));
         assert!(img[2 * STORE_PAGE..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn shared_page_is_copy_on_write() {
+        let s = PageStore::new(2);
+        assert!(s.share(1).unwrap().iter().all(|&b| b == 0), "unwritten");
+        s.write_at(0, 0, b"old").unwrap();
+        let shared = s.share(0).unwrap();
+        s.write_at(0, 0, b"new").unwrap();
+        assert_eq!(&shared[..3], b"old", "a store write leaves the share alone");
+        let mut page = [7u8; STORE_PAGE];
+        page[..4].copy_from_slice(b"mine");
+        let mine = Arc::new(page);
+        s.install(1, Arc::clone(&mine)).unwrap();
+        s.write_at(1, 0, b"dev").unwrap();
+        assert_eq!(
+            &mine[..4],
+            b"mine",
+            "installed buffer is not written in place"
+        );
+        let mut buf = [0u8; 4];
+        s.read_at(1, 0, &mut buf).unwrap();
+        assert_eq!(&buf[..3], b"dev");
+        assert_eq!(buf[3], b'e', "rest of the installed page kept");
+        assert!(
+            zero_page().iter().all(|&b| b == 0),
+            "zero page never written"
+        );
     }
 
     #[test]

@@ -6,8 +6,11 @@
 
 use std::sync::Arc;
 
-use aquila_devices::{BufRef, NvmeDevice, NvmeOp, PmemDevice, STORE_PAGE};
-use aquila_sim::{CostCat, SimCtx};
+use aquila_devices::{BufRef, NvmeDevice, NvmeOp, Page, PmemDevice, STORE_PAGE};
+use aquila_sim::{CostCat, Cycles, SimCtx};
+
+/// Block-layer glue cost of one kernel pmem request.
+const PMEM_GLUE: Cycles = Cycles(240);
 
 /// A device as seen from the host kernel.
 #[derive(Clone)]
@@ -40,7 +43,7 @@ impl KernelDevice {
         match self {
             KernelDevice::Pmem(d) => {
                 // Kernel pmem driver: scalar copy, small block-glue cost.
-                ctx.charge(CostCat::DeviceIo, aquila_sim::Cycles(240));
+                ctx.charge(CostCat::DeviceIo, PMEM_GLUE);
                 d.dax_read(ctx, page * STORE_PAGE as u64, buf, false)
                     .expect("kernel fill within device bounds");
             }
@@ -59,24 +62,30 @@ impl KernelDevice {
         }
     }
 
-    /// Reads consecutive pages straight into per-page buffers (the
-    /// readahead fill), charged exactly as one [`Self::read_pages`] of
-    /// the total length. NVMe stages multi-page reads through one
-    /// contiguous buffer.
-    pub fn read_pages_into(&self, ctx: &mut dyn SimCtx, page: u64, bufs: &mut [Box<[u8]>]) {
-        match (self, bufs) {
-            (KernelDevice::Pmem(d), bufs) => {
-                ctx.charge(CostCat::DeviceIo, aquila_sim::Cycles(240));
-                d.dax_readv(ctx, page * STORE_PAGE as u64, bufs, false)
-                    .expect("kernel fill within device bounds");
+    /// The readahead fill: the `count` pages starting at `page`, one
+    /// buffer each, charged exactly as one [`Self::read_pages`] of the
+    /// total length. pmem hands out its own copy-on-write page buffers
+    /// (no bytes move); NVMe reads one page straight into a fresh buffer
+    /// and stages multi-page reads through one contiguous buffer.
+    pub fn fill_pages(&self, ctx: &mut dyn SimCtx, page: u64, count: usize) -> Vec<Arc<Page>> {
+        match self {
+            KernelDevice::Pmem(d) => {
+                ctx.charge(CostCat::DeviceIo, PMEM_GLUE);
+                d.dax_share_read(ctx, page, count, false)
+                    .expect("kernel fill within device bounds")
             }
-            (KernelDevice::Nvme(_), [one]) => self.read_pages(ctx, page, one),
-            (KernelDevice::Nvme(_), bufs) => {
-                let mut staged = vec![0u8; bufs.iter().map(|b| b.len()).sum()];
+            KernelDevice::Nvme(_) if count == 1 => {
+                let mut one: Arc<Page> = Arc::new([0u8; STORE_PAGE]);
+                self.read_pages(ctx, page, &mut Arc::make_mut(&mut one)[..]);
+                vec![one]
+            }
+            KernelDevice::Nvme(_) => {
+                let mut staged = vec![0u8; count * STORE_PAGE];
                 self.read_pages(ctx, page, &mut staged);
-                for (b, chunk) in bufs.iter_mut().zip(staged.chunks(STORE_PAGE)) {
-                    b.copy_from_slice(chunk);
-                }
+                staged
+                    .chunks_exact(STORE_PAGE)
+                    .map(|chunk| Arc::new(Page::try_from(chunk).expect("whole pages")))
+                    .collect()
             }
         }
     }
@@ -85,7 +94,7 @@ impl KernelDevice {
     pub fn write_pages(&self, ctx: &mut dyn SimCtx, page: u64, buf: &[u8]) {
         match self {
             KernelDevice::Pmem(d) => {
-                ctx.charge(CostCat::DeviceIo, aquila_sim::Cycles(240));
+                ctx.charge(CostCat::DeviceIo, PMEM_GLUE);
                 d.dax_write(ctx, page * STORE_PAGE as u64, buf, false)
                     .expect("kernel writeback within device bounds");
             }
@@ -102,6 +111,20 @@ impl KernelDevice {
             }
         }
     }
+
+    /// Writes one whole page back, charged exactly as a one-page
+    /// [`Self::write_pages`]. pmem takes a share of `data` instead of
+    /// copying it; the buffer is copy-on-write on both sides.
+    pub fn write_page(&self, ctx: &mut dyn SimCtx, page: u64, data: &Arc<Page>) {
+        match self {
+            KernelDevice::Pmem(d) => {
+                ctx.charge(CostCat::DeviceIo, PMEM_GLUE);
+                d.dax_share_write(ctx, page, Arc::clone(data), false)
+                    .expect("kernel writeback within device bounds");
+            }
+            KernelDevice::Nvme(_) => self.write_pages(ctx, page, &data[..]),
+        }
+    }
 }
 
 impl core::fmt::Debug for KernelDevice {
@@ -116,7 +139,7 @@ impl core::fmt::Debug for KernelDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aquila_sim::FreeCtx;
+    use aquila_sim::{trace::TraceEvent, FreeCtx};
 
     #[test]
     fn pmem_fill_costs_scalar_memcpy() {
@@ -139,30 +162,102 @@ mod tests {
         assert!(ctx.breakdown.get(CostCat::Idle) >= aquila_sim::Cycles::from_micros(9));
     }
 
-    #[test]
-    fn per_page_fill_matches_contiguous_fill() {
-        for dev in [
+    fn devices() -> [KernelDevice; 2] {
+        [
             KernelDevice::Pmem(Arc::new(PmemDevice::dram_backed(16))),
             KernelDevice::Nvme(Arc::new(NvmeDevice::optane(16))),
-        ] {
+        ]
+    }
+
+    /// Runs `op` on a fresh context on vcore `core` (unique per call)
+    /// with the device timing reset, and returns everything it charged —
+    /// clock, breakdown, counters and the trace spans it emitted — as one
+    /// comparable string.
+    fn charged(dev: &KernelDevice, core: usize, op: impl FnOnce(&mut FreeCtx)) -> String {
+        let tracer = aquila_sim::trace::install(aquila_sim::trace::DEFAULT_CAPACITY);
+        dev.reset_timing();
+        let mut ctx = FreeCtx::new(1).with_core(core, core + 1);
+        op(&mut ctx);
+        let spans: Vec<String> = tracer
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Span {
+                    name,
+                    cat,
+                    core: c,
+                    start,
+                    dur,
+                } if *c == core => Some(format!("{name} {cat:?} {start:?} {dur:?}")),
+                _ => None,
+            })
+            .collect();
+        format!(
+            "{:?} {:?} {:?} {spans:?}",
+            ctx.now(),
+            ctx.breakdown,
+            ctx.stats
+        )
+    }
+
+    fn flat(pages: &[Arc<Page>]) -> Vec<u8> {
+        pages.iter().flat_map(|p| p.iter().copied()).collect()
+    }
+
+    #[test]
+    fn fill_pages_charges_like_read_pages() {
+        let mut core = 9100;
+        for dev in devices() {
             let data: Vec<u8> = (0..4 * STORE_PAGE).map(|i| (i % 253) as u8).collect();
             dev.write_pages(&mut FreeCtx::new(1), 2, &data);
-            dev.reset_timing();
-            let mut flat_ctx = FreeCtx::new(1);
-            let mut flat = vec![0u8; data.len()];
-            dev.read_pages(&mut flat_ctx, 2, &mut flat);
-            dev.reset_timing();
+            for count in [1usize, 4] {
+                let len = count * STORE_PAGE;
+                let mut buf = vec![0u8; len];
+                core += 2;
+                let read = charged(&dev, core, |ctx| dev.read_pages(ctx, 2, &mut buf));
+                let mut pages = Vec::new();
+                let fill = charged(&dev, core + 1, |ctx| pages = dev.fill_pages(ctx, 2, count));
+                assert_eq!(fill, read, "{dev:?} x{count}");
+                assert_eq!(pages.len(), count);
+                assert_eq!(flat(&pages), data[..len], "{dev:?} x{count}");
+                assert_eq!(buf, data[..len]);
+            }
+        }
+    }
+
+    #[test]
+    fn write_page_charges_like_write_pages() {
+        let mut core = 9200;
+        for dev in devices() {
+            let data = Arc::new([0xA5u8; STORE_PAGE]);
+            core += 2;
+            let copied = charged(&dev, core, |ctx| dev.write_pages(ctx, 1, &data[..]));
+            let shared = charged(&dev, core + 1, |ctx| dev.write_page(ctx, 2, &data));
+            assert_eq!(shared, copied, "{dev:?}");
+            assert_eq!(flat(&dev.fill_pages(&mut FreeCtx::new(1), 2, 1)), data[..]);
+        }
+    }
+
+    #[test]
+    fn never_written_pages_fill_as_zero() {
+        for dev in devices() {
+            let pages = dev.fill_pages(&mut FreeCtx::new(1), 5, 3);
+            assert!(flat(&pages).iter().all(|&b| b == 0), "{dev:?}");
+        }
+    }
+
+    #[test]
+    fn filled_pages_do_not_see_later_device_writes() {
+        for dev in devices() {
             let mut ctx = FreeCtx::new(1);
-            let mut pages: Vec<Box<[u8]>> = (0..4).map(|_| vec![0u8; STORE_PAGE].into()).collect();
-            dev.read_pages_into(&mut ctx, 2, &mut pages);
-            assert_eq!(pages.concat(), data, "{dev:?}");
-            assert_eq!(ctx.now(), flat_ctx.now(), "{dev:?} charged as one read");
-            assert_eq!(
-                format!("{:?}", ctx.breakdown),
-                format!("{:?}", flat_ctx.breakdown),
-                "{dev:?}"
-            );
-            assert_eq!(ctx.stats.device_reads, flat_ctx.stats.device_reads);
+            dev.write_pages(&mut ctx, 0, &[1u8; 2 * STORE_PAGE]);
+            let pages = dev.fill_pages(&mut ctx, 0, 2);
+            dev.write_pages(&mut ctx, 0, &[2u8; 2 * STORE_PAGE]);
+            assert!(flat(&pages).iter().all(|&b| b == 1), "{dev:?}");
+            let mine = Arc::new([3u8; STORE_PAGE]);
+            dev.write_page(&mut ctx, 4, &mine);
+            dev.write_pages(&mut ctx, 4, &[4u8; STORE_PAGE]);
+            assert!(mine.iter().all(|&b| b == 3), "{dev:?}");
         }
     }
 

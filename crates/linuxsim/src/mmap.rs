@@ -79,7 +79,15 @@ pub enum AuditError {
         /// Total frames.
         capacity: usize,
     },
-    /// A frame's owner slot, tree entry, LRU link and free-list
+    /// The page-cache index names a different number of pages than the
+    /// resident count.
+    ResidentCount {
+        /// The resident count.
+        resident: usize,
+        /// Pages the index names.
+        indexed: usize,
+    },
+    /// A frame's owner slot, index entry, LRU link and free-list
     /// membership disagree.
     FrameOwner {
         /// The frame.
@@ -218,10 +226,6 @@ pub struct LinuxMmap {
     pt: Mutex<DetMap<u64, Pte>>,
     /// Reverse map: cached page -> virtual pages mapping it.
     rmap: Mutex<DetMap<Key, Vec<u64>>>,
-    /// Recycled 4 KiB page buffers for readahead fills: the device fills
-    /// them and they are swapped into frames, so a fill copies each page
-    /// once and allocates nothing in steady state.
-    fill_pool: Mutex<Vec<Box<[u8]>>>,
     files: Mutex<Vec<FileDesc>>,
     next_vpn: Mutex<u64>,
     next_dev_page: Mutex<u64>,
@@ -246,7 +250,6 @@ impl LinuxMmap {
             vmas: Mutex::new(Vec::new()),
             pt: Mutex::new(DetMap::new()),
             rmap: Mutex::new(DetMap::new()),
-            fill_pool: Mutex::new(Vec::new()),
             files: Mutex::new(Vec::new()),
             next_vpn: Mutex::new(0x10_0000),
             next_dev_page: Mutex::new(0),
@@ -541,13 +544,12 @@ impl LinuxMmap {
             self.finish_victims(ctx, &victims)?;
         }
         let base_dev = self.file_dev_page(vma.file, file_page)?;
-        let mut pages = self.take_fill_pages(count);
-        self.dev.read_pages_into(ctx, base_dev, &mut pages);
+        let pages = self.dev.fill_pages(ctx, base_dev, count);
         if count > 1 {
             ctx.counters().readahead_pages += (count - 1) as u64;
         }
         let mut my_frame = None;
-        for (i, page) in pages.iter_mut().enumerate() {
+        for (i, page) in pages.into_iter().enumerate() {
             let k: Key = (vma.file, file_page + i as u64);
             let (frame, victim, was_present) = self.cache.insert(ctx, k);
             if let Some(v) = victim {
@@ -556,13 +558,12 @@ impl LinuxMmap {
             // Never clobber an already-cached page: it may hold dirty data
             // newer than the device copy.
             if !was_present {
-                self.cache.swap_frame(frame, page);
+                self.cache.set_frame(frame, page);
             }
             if i == 0 {
                 my_frame = Some(frame);
             }
         }
-        self.fill_pool.lock().append(&mut pages);
         let frame = my_frame.expect("count >= 1");
         self.install(ctx, vpn, key, frame, write);
         // kmmap's lazy writeback: flush a chunk when dirty pages pile up.
@@ -570,16 +571,6 @@ impl LinuxMmap {
             self.kmmap_lazy_flush(ctx)?;
         }
         Ok(())
-    }
-
-    /// `count` page buffers for a fill: recycled ones first, then fresh.
-    fn take_fill_pages(&self, count: usize) -> Vec<Box<[u8]>> {
-        let mut pool = self.fill_pool.lock();
-        let keep = pool.len().saturating_sub(count);
-        let mut pages = pool.split_off(keep);
-        drop(pool);
-        pages.resize_with(count, || vec![0u8; 4096].into_boxed_slice());
-        pages
     }
 
     fn find_vma(&self, ctx: &mut dyn SimCtx, vpn: u64) -> Option<Vma> {
@@ -642,8 +633,8 @@ impl LinuxMmap {
         }
         for v in victims.iter().filter(|v| v.dirty) {
             let dev_page = self.file_dev_page(v.key.0, v.key.1)?;
-            self.cache
-                .with_frame(v.frame, |data| self.dev.write_pages(ctx, dev_page, data));
+            self.dev
+                .write_page(ctx, dev_page, &self.cache.share_frame(v.frame));
             ctx.counters().writebacks += 1;
         }
         Ok(())
@@ -711,8 +702,8 @@ impl LinuxMmap {
             let batch = &dirty[i..i + run];
             let dev_page = self.file_dev_page(file, batch[0].0 .1)?;
             if let [(_, frame)] = *batch {
-                self.cache
-                    .with_frame(frame, |data| self.dev.write_pages(ctx, dev_page, data));
+                self.dev
+                    .write_page(ctx, dev_page, &self.cache.share_frame(frame));
             } else {
                 let mut data = vec![0u8; run * 4096];
                 for (j, &(_, frame)) in batch.iter().enumerate() {

@@ -6,7 +6,16 @@
 //! reproduces that structure: a functional index plus a [`SimMutex`]
 //! reservation that models the tree lock's serialization, so Figure 10's
 //! collapse emerges from the model rather than being hard-coded.
+//!
+//! The index is what the kernel's radix tree is: per file, an array from
+//! page offset to frame, so lookup, insert and reclaim are O(1). Frames
+//! hold shared copy-on-write page buffers ([`Page`]): a fill installs the
+//! device's buffer, a writeback hands the frame's buffer to the device,
+//! and a store into a frame copies it first if anyone else holds it.
 
+use std::sync::Arc;
+
+use aquila_devices::{zero_page, Page};
 use aquila_sync::{DetMap, Mutex, RwLock};
 
 use aquila_sim::{race, CostCat, Cycles, SimCtx, SimMutex};
@@ -19,8 +28,11 @@ pub type Key = (u32, u64);
 /// Cycles the tree lock is held for a lookup/insert/delete.
 pub const TREE_HOLD: Cycles = Cycles(350);
 
+/// Marks an index slot with no cached page.
+const NO_FRAME: u32 = u32::MAX;
+
 // Race-detector identities. The host-side `inner` mutex protects the
-// whole index (tree/owner/dirty/lru/free move together); `tree_locks` is
+// whole index (index/owner/dirty/lru/free move together); `tree_locks` is
 // the registry of per-file virtual tree locks. Order declared in
 // [`KernelPageCache::new`]; the registry lock is never held across
 // `inner`.
@@ -88,11 +100,54 @@ impl LruList {
 }
 
 struct Inner {
-    tree: DetMap<Key, u32>,
+    /// `index[file][page]` is the page's frame, or [`NO_FRAME`].
+    index: Vec<Vec<u32>>,
+    /// Cached pages (frames named by `index`).
+    resident: usize,
     owner: Vec<Option<Key>>,
     dirty: DetMap<Key, ()>,
     lru: LruList,
     free: Vec<u32>,
+}
+
+impl Inner {
+    fn get(&self, (file, page): Key) -> Option<u32> {
+        let frame = *self.index.get(file as usize)?.get(page as usize)?;
+        (frame != NO_FRAME).then_some(frame)
+    }
+
+    /// Caches `key` (not cached yet) in `frame` (free or just evicted)
+    /// as the most recently used page.
+    fn link(&mut self, key: Key, frame: u32) {
+        let (file, page) = (key.0 as usize, key.1 as usize);
+        if self.index.len() <= file {
+            self.index.resize_with(file + 1, Vec::new);
+        }
+        let pages = &mut self.index[file];
+        if pages.len() <= page {
+            pages.resize(page + 1, NO_FRAME);
+        }
+        pages[page] = frame;
+        self.resident += 1;
+        self.owner[frame as usize] = Some(key);
+        self.lru.touch(frame);
+    }
+
+    /// Uncaches the page in frame `f` (already off the LRU) and returns
+    /// it as a victim.
+    fn evict(&mut self, f: u32) -> KVictim {
+        let key = self.owner[f as usize]
+            .take()
+            .expect("LRU frames have owners");
+        self.index[key.0 as usize][key.1 as usize] = NO_FRAME;
+        self.resident -= 1;
+        let dirty = self.dirty.remove(&key).is_some();
+        KVictim {
+            key,
+            frame: f,
+            dirty,
+        }
+    }
 }
 
 /// An evicted kernel-cache page.
@@ -108,12 +163,13 @@ pub struct KVictim {
 
 /// The kernel page cache.
 pub struct KernelPageCache {
-    frames: Vec<RwLock<Box<[u8]>>>,
+    frames: Vec<RwLock<Arc<Page>>>,
     inner: Mutex<Inner>,
-    /// Per-file (per-inode address_space) tree locks. All threads reading
-    /// one shared file contend on one of these — the Figure 10 shared-file
-    /// collapse — while separate files use separate locks.
-    tree_locks: Mutex<DetMap<u32, std::sync::Arc<SimMutex>>>,
+    /// Per-file (per-inode address_space) tree locks, indexed by file.
+    /// All threads reading one shared file contend on one of these — the
+    /// Figure 10 shared-file collapse — while separate files use separate
+    /// locks.
+    tree_locks: Mutex<Vec<Arc<SimMutex>>>,
     /// The LRU/zone lock taken by reclaim.
     lru_lock: SimMutex,
     contended: std::sync::atomic::AtomicU64,
@@ -126,18 +182,20 @@ impl KernelPageCache {
             "linux.pagecache",
             &["linux.pagecache.tree_locks", "linux.pagecache.inner"],
         );
+        let zero = zero_page();
         KernelPageCache {
             frames: (0..frames)
-                .map(|_| RwLock::new(vec![0u8; 4096].into_boxed_slice()))
+                .map(|_| RwLock::new(Arc::clone(&zero)))
                 .collect(),
             inner: Mutex::new(Inner {
-                tree: DetMap::new(),
+                index: Vec::new(),
+                resident: 0,
                 owner: vec![None; frames],
                 dirty: DetMap::new(),
                 lru: LruList::new(frames),
                 free: (0..frames as u32).rev().collect(),
             }),
-            tree_locks: Mutex::new(DetMap::new()),
+            tree_locks: Mutex::new(Vec::new()),
             lru_lock: SimMutex::new(),
             contended: std::sync::atomic::AtomicU64::new(0),
         }
@@ -150,7 +208,7 @@ impl KernelPageCache {
 
     /// Cached page count.
     pub fn resident(&self) -> usize {
-        self.inner.lock().tree.len()
+        self.inner.lock().resident
     }
 
     /// Dirty page count.
@@ -165,7 +223,7 @@ impl KernelPageCache {
 
     /// Resets lock timing models (between experiment phases).
     pub fn reset_timing(&self) {
-        for l in self.tree_locks.lock().values() {
+        for l in self.tree_locks.lock().iter() {
             l.reset();
         }
         self.lru_lock.reset();
@@ -173,12 +231,13 @@ impl KernelPageCache {
 
     fn take_tree_lock(&self, ctx: &mut dyn SimCtx, file: u32, hold: Cycles) {
         race::acquire(ctx, LOCK_TREE_LOCKS);
-        let lock = std::sync::Arc::clone(
-            self.tree_locks
-                .lock()
-                .entry(file)
-                .or_insert_with(|| std::sync::Arc::new(SimMutex::new())),
-        );
+        let lock = {
+            let mut locks = self.tree_locks.lock();
+            if locks.len() <= file as usize {
+                locks.resize_with(file as usize + 1, Default::default);
+            }
+            Arc::clone(&locks[file as usize])
+        };
         race::write(ctx, VAR_TREE_LOCKS);
         race::release(ctx, LOCK_TREE_LOCKS);
         let t_lock = ctx.now();
@@ -209,7 +268,7 @@ impl KernelPageCache {
         self.take_tree_lock(ctx, key.0, TREE_HOLD);
         race::acquire(ctx, LOCK_INNER);
         let mut inner = self.inner.lock();
-        let frame = inner.tree.get(&key).copied();
+        let frame = inner.get(key);
         if let Some(f) = frame {
             inner.lru.touch(f);
         }
@@ -228,7 +287,7 @@ impl KernelPageCache {
         self.take_tree_lock(ctx, key.0, TREE_HOLD);
         race::acquire(ctx, LOCK_INNER);
         let mut inner = self.inner.lock();
-        let result = if let Some(&f) = inner.tree.get(&key) {
+        let result = if let Some(f) = inner.get(key) {
             // Already cached (or raced with another fill).
             (f, None, true)
         } else {
@@ -239,25 +298,11 @@ impl KernelPageCache {
                         .lru
                         .pop_lru()
                         .expect("no free and no LRU: empty cache?");
-                    let old = inner.owner[f as usize]
-                        .take()
-                        .expect("LRU frames have owners");
-                    inner.tree.remove(&old);
-                    let dirty = inner.dirty.remove(&old).is_some();
                     ctx.counters().evictions += 1;
-                    (
-                        f,
-                        Some(KVictim {
-                            key: old,
-                            frame: f,
-                            dirty,
-                        }),
-                    )
+                    (f, Some(inner.evict(f)))
                 }
             };
-            inner.tree.insert(key, frame);
-            inner.owner[frame as usize] = Some(key);
-            inner.lru.touch(frame);
+            inner.link(key, frame);
             (frame, victim, false)
         };
         drop(inner);
@@ -301,7 +346,7 @@ impl KernelPageCache {
         let v: Vec<(Key, u32)> = inner
             .dirty
             .range((file, start)..(file, end.max(start)))
-            .map(|(&k, _)| (k, inner.tree[&k]))
+            .map(|(&k, _)| (k, inner.get(k).expect("dirty pages are cached")))
             .collect();
         drop(inner);
         race::read(ctx, VAR_INNER);
@@ -313,7 +358,7 @@ impl KernelPageCache {
     /// tree lock or an LRU touch (audits and tests; charges nothing).
     pub fn peek(&self, key: Key) -> Option<(u32, bool)> {
         let inner = self.inner.lock();
-        let frame = *inner.tree.get(&key)?;
+        let frame = inner.get(key)?;
         Some((frame, inner.dirty.contains_key(&key)))
     }
 
@@ -336,18 +381,9 @@ impl KernelPageCache {
         let mut out = Vec::new();
         for _ in 0..n {
             let Some(f) = inner.lru.pop_lru() else { break };
-            let old = inner.owner[f as usize]
-                .take()
-                .expect("LRU frames have owners");
-            inner.tree.remove(&old);
-            let dirty = inner.dirty.remove(&old).is_some();
+            out.push(inner.evict(f));
             inner.free.push(f);
             ctx.counters().evictions += 1;
-            out.push(KVictim {
-                key: old,
-                frame: f,
-                dirty,
-            });
         }
         drop(inner);
         race::write(ctx, VAR_INNER);
@@ -361,31 +397,32 @@ impl KernelPageCache {
         buf.copy_from_slice(&data[offset..offset + buf.len()]);
     }
 
-    /// Writes bytes into a frame.
+    /// Writes bytes into a frame, copying its buffer first if anyone
+    /// else (the device, after a fill or writeback) still shares it.
     pub fn write_frame(&self, frame: u32, offset: usize, buf: &[u8]) {
         let mut data = self.frames[frame as usize].write();
-        data[offset..offset + buf.len()].copy_from_slice(buf);
+        Arc::make_mut(&mut data)[offset..offset + buf.len()].copy_from_slice(buf);
     }
 
-    /// Fills a whole frame by exchanging its page buffer with `page`,
-    /// which gets the frame's old buffer back (no copy).
-    pub fn swap_frame(&self, frame: u32, page: &mut Box<[u8]>) {
-        let mut data = self.frames[frame as usize].write();
-        assert_eq!(data.len(), page.len(), "whole-page swap");
-        std::mem::swap(&mut *data, page);
+    /// Makes `page` the frame's whole contents (a fill: no copy).
+    pub fn set_frame(&self, frame: u32, page: Arc<Page>) {
+        *self.frames[frame as usize].write() = page;
     }
 
-    /// Runs `f` over a frame's bytes in place (writeback without a copy).
-    pub fn with_frame<R>(&self, frame: u32, f: impl FnOnce(&[u8]) -> R) -> R {
-        f(&self.frames[frame as usize].read())
+    /// Shares the frame's buffer (a writeback: no copy). A later
+    /// [`Self::write_frame`] copies first, so the returned bytes never
+    /// change.
+    pub fn share_frame(&self, frame: u32) -> Arc<Page> {
+        Arc::clone(&self.frames[frame as usize].read())
     }
 
     /// Checks frame conservation (`free + resident == capacity`, each
-    /// frame either free or owned by exactly one key), `owner`/`tree`
-    /// agreement, and that every dirty key is resident.
+    /// frame either free or owned by exactly one key), index/`owner`
+    /// agreement in both directions, and that every dirty key is
+    /// resident.
     pub fn audit(&self) -> Result<(), AuditError> {
         let inner = self.inner.lock();
-        let (free, resident, capacity) = (inner.free.len(), inner.tree.len(), self.capacity());
+        let (free, resident, capacity) = (inner.free.len(), inner.resident, self.capacity());
         if free + resident != capacity {
             return Err(AuditError::FrameCount {
                 free,
@@ -393,9 +430,28 @@ impl KernelPageCache {
                 capacity,
             });
         }
-        for (&key, &frame) in inner.tree.iter() {
-            if inner.owner[frame as usize] != Some(key) || !inner.lru.linked[frame as usize] {
-                return Err(AuditError::FrameOwner { frame });
+        let mut indexed = 0usize;
+        for (file, pages) in inner.index.iter().enumerate() {
+            for (page, &frame) in pages.iter().enumerate() {
+                if frame == NO_FRAME {
+                    continue;
+                }
+                indexed += 1;
+                let key = (file as u32, page as u64);
+                let owned = inner.owner.get(frame as usize) == Some(&Some(key));
+                if !owned || !inner.lru.linked[frame as usize] {
+                    return Err(AuditError::FrameOwner { frame });
+                }
+            }
+        }
+        if indexed != resident {
+            return Err(AuditError::ResidentCount { resident, indexed });
+        }
+        for (frame, owner) in inner.owner.iter().enumerate() {
+            if owner.is_some_and(|key| inner.get(key) != Some(frame as u32)) {
+                return Err(AuditError::FrameOwner {
+                    frame: frame as u32,
+                });
             }
         }
         let mut on_free_list = vec![false; capacity];
@@ -405,7 +461,7 @@ impl KernelPageCache {
                 return Err(AuditError::FrameOwner { frame });
             }
         }
-        if let Some(&key) = inner.dirty.keys().find(|k| !inner.tree.contains_key(k)) {
+        if let Some(&key) = inner.dirty.keys().find(|&&k| inner.get(k).is_none()) {
             return Err(AuditError::DirtyNotResident { key });
         }
         Ok(())
@@ -504,6 +560,55 @@ mod tests {
         assert_eq!(b.breakdown.get(CostCat::LockWait), TREE_HOLD);
         assert_eq!(c.tree_lock_contended(), 1);
         assert_eq!(c.audit(), Ok(()));
+    }
+
+    #[test]
+    fn audit_catches_a_corrupt_index() {
+        let c = KernelPageCache::new(4);
+        let mut ctx = FreeCtx::new(1);
+        let (f1, _, _) = c.insert(&mut ctx, (0, 1));
+        let (f2, _, _) = c.insert(&mut ctx, (0, 2));
+        assert_eq!(c.audit(), Ok(()));
+        // Two pages swap frames in the index behind their owners' backs.
+        c.inner.lock().index[0].swap(1, 2);
+        assert_eq!(c.audit(), Err(AuditError::FrameOwner { frame: f2 }));
+        c.inner.lock().index[0].swap(1, 2);
+        // A page drops out of the index but is still counted resident.
+        c.inner.lock().index[0][2] = NO_FRAME;
+        assert_eq!(
+            c.audit(),
+            Err(AuditError::ResidentCount {
+                resident: 2,
+                indexed: 1
+            })
+        );
+        // ... and once the count agrees, its frame is owned but unindexed.
+        c.inner.lock().resident = 1;
+        c.inner.lock().free.push(f1 + 2);
+        assert!(c.audit().is_err());
+    }
+
+    #[test]
+    fn frames_share_buffers_copy_on_write() {
+        let c = KernelPageCache::new(2);
+        let mut ctx = FreeCtx::new(1);
+        let (f, _, _) = c.insert(&mut ctx, (0, 0));
+        let mut buf = [9u8; 4];
+        c.read_frame(f, 0, &mut buf);
+        assert_eq!(buf, [0; 4], "frames start as the zero page");
+        let fill = Arc::new([1u8; 4096]);
+        c.set_frame(f, Arc::clone(&fill));
+        c.write_frame(f, 0, b"new");
+        assert!(
+            fill.iter().all(|&b| b == 1),
+            "fill buffer not written in place"
+        );
+        let wb = c.share_frame(f);
+        c.write_frame(f, 0, b"two");
+        assert_eq!(&wb[..3], b"new", "writeback buffer not written in place");
+        c.read_frame(f, 0, &mut buf);
+        assert_eq!(&buf, b"two\x01");
+        assert!(zero_page().iter().all(|&b| b == 0));
     }
 
     #[test]

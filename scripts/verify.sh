@@ -205,6 +205,14 @@ timeout 120 cargo run --release -q -p aquila-bench --bin fig10 -- fit \
     > "$tmp/fig10fit.txt" ||
     { echo "FAIL: fig10 fit did not finish within 120 s" >&2; exit 1; }
 
+step "fig10 nofit host-time smoke (must finish within 60 s)"
+# Fig 10(b) is linuxsim's major-fault path over a file 12x the cache:
+# every fault reads ahead, reclaims and evicts. It runs in about a
+# second; the timeout fails the run if that path turns super-linear.
+timeout 60 cargo run --release -q -p aquila-bench --bin fig10 -- nofit \
+    > "$tmp/fig10nofit.txt" ||
+    { echo "FAIL: fig10 nofit did not finish within 60 s" >&2; exit 1; }
+
 step "aquila-prof baseline gate vs committed golden report (expected pass)"
 "$prof" check "$tmp/lat1.json" --baseline results/golden/sweep_latency.json ||
     { echo "FAIL: latency regressed vs results/golden/sweep_latency.json" >&2; exit 1; }

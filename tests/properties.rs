@@ -365,8 +365,9 @@ fn spill_free_fault_counts_match_tree_path() {
 }
 
 /// linuxsim keeps its invariants (`LinuxMmap::audit`: PTE/rmap agreement,
-/// write-protect of clean pages, frame conservation) and reads back
-/// exactly what was written, under random mmap/munmap/read/write/msync
+/// write-protect of clean pages, frame conservation), reads back exactly
+/// what was written, and leaves exactly those bytes on the device after
+/// each `msync`, under random mmap/munmap/read/write/msync
 /// sequences over two mappings of one file that does not fit the cache.
 #[test]
 fn linuxsim_random_ops_keep_invariants() {
@@ -421,7 +422,23 @@ fn linuxsim_random_ops_keep_invariants() {
                     lm.read(&mut ctx, addr, &mut buf).unwrap();
                     assert_eq!(buf, model[at..at + 8], "case {case}: read at {at}");
                 }
-                8 => lm.msync(&mut ctx, vpn + page, pages - page).unwrap(),
+                8 => {
+                    lm.msync(&mut ctx, vpn + page, pages - page).unwrap();
+                    // The synced pages are on the device: a buffer the
+                    // cache shares with the device was never written in
+                    // place behind a writeback.
+                    let (lo, hi) = (
+                        (first + page) as usize * 4096,
+                        (first + pages) as usize * 4096,
+                    );
+                    let mut synced = vec![0u8; hi - lo];
+                    lm.pread_direct(&mut ctx, file, first + page, &mut synced)
+                        .unwrap();
+                    assert!(
+                        synced == model[lo..hi],
+                        "case {case}: msync'd bytes at {lo}"
+                    );
+                }
                 _ => {
                     lm.munmap(&mut ctx, vpn, pages);
                     maps[slot] = None;
