@@ -6,7 +6,7 @@
 //! [`crate::cli::main_for`], which looks the binary up in [`BINS`] —
 //! so flag handling (`--json`/`--trace`/`--race`/`--faults`/part
 //! selection) lives in exactly one place and a new binary (like
-//! `serve`'s `sweep serve` sibling) gets the whole surface for free.
+//! `serve`) gets the whole surface for free.
 
 pub mod fig10;
 pub mod fig5;

@@ -97,7 +97,7 @@ fn tenant_set(reqs: u64) -> Vec<TenantProfile> {
     tenants
 }
 
-pub(crate) fn part_qos(args: &BenchArgs, json: &mut JsonReport) {
+fn part_qos(args: &BenchArgs, json: &mut JsonReport) {
     let reqs: u64 = if args.has_flag("--full") { 800 } else { 200 };
     banner(
         "Serve (qos): 8 tenants, open-loop Poisson + bursty arrivals, QoS on vs off",
@@ -177,7 +177,7 @@ pub(crate) fn part_qos(args: &BenchArgs, json: &mut JsonReport) {
 const INTEGRITY_STORM: &str = "nvme.write:corrupt=8@op=6; nvme.read:corrupt=2@op=9; \
      nvme.write:corrupt=4@op=30; nvme.read:latent=2@op=24; nvme.write:latent=1@op=50";
 
-pub(crate) fn part_integrity(args: &BenchArgs, json: &mut JsonReport) {
+fn part_integrity(args: &BenchArgs, json: &mut JsonReport) {
     let reqs: u64 = if args.has_flag("--full") { 800 } else { 200 };
     banner(
         "Serve (integrity): 8-tenant QoS workload under a silent-corruption storm, mirrored + scrubbed",

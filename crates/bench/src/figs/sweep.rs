@@ -570,12 +570,9 @@ fn run_scale_cell(mmio: bool, cores: usize) -> ScaleCell {
     let debts = Arc::new(CoreDebts::new(cores));
     let micro = if mmio {
         // The scaled fault path: spill-free regions (no VMA tree, no
-        // shared lock), per-vcore page-table shards, and batched
-        // freelist work-stealing.
+        // shared lock) over the lock-free page table.
         let policy = MmioPolicy {
             spill_regions: true,
-            pt_shards: cores.max(2),
-            freelist_steal_batch: 8,
             ..MmioPolicy::default()
         };
         micro_aquila_policy(
@@ -607,22 +604,17 @@ fn run_scale_cell(mmio: bool, cores: usize) -> ScaleCell {
 }
 
 /// Shared-lock acquisitions the fault fast path is forbidden to take
-/// with the scaled policy on: VMA-tree walk locks and legacy shared
-/// page-table acquisitions. Zero when the metrics registry is absent.
-fn shared_lock_count() -> u64 {
-    match aquila_sim::metrics::global() {
-        Some(reg) => {
-            let snap = reg.snapshot();
-            snap.get("vma.tree.lock").unwrap_or(0) + snap.get("mmu.pt.shared_lock").unwrap_or(0)
-        }
-        None => 0,
-    }
+/// with the scaled policy on: VMA-tree walk locks. `None` when the
+/// metrics registry is absent (only `--json`/`--trace` install it), so
+/// nothing was counted.
+fn shared_lock_count() -> Option<u64> {
+    aquila_sim::metrics::global().map(|reg| reg.snapshot().get("vma.tree.lock").unwrap_or(0))
 }
 
 fn part_scale(args: &BenchArgs, json: &mut JsonReport) {
     banner(
         "Scale sweep: minor-fault throughput, 1 -> 256 vcores, disjoint regions of one shared file",
-        "expected: mmio (spill-free regions + sharded page table) near-linear; linuxsim flatlines on its page-cache tree lock",
+        "expected: mmio (spill-free regions, lock-free page table) near-linear; linuxsim flatlines on its page-cache tree lock",
     );
     // `--cores=N` restricts the sweep to one vcore count (the
     // determinism suite runs single cells double-run bit-identical).
@@ -656,11 +648,18 @@ fn part_scale(args: &BenchArgs, json: &mut JsonReport) {
             cells.push((label, c));
         }
     }
-    // The scaled fault fast path must never touch a shared lock: not
-    // the VMA tree's walk locks, not the legacy shared page table.
-    let shared_locks = shared_lock_count() - shared_before;
-    json.add_scalar("scale/fastpath/shared_locks", shared_locks as f64);
-    println!("  -> fault-fast-path shared-lock acquisitions: {shared_locks}");
+    // The scaled fault fast path must never walk the VMA tree's shared
+    // lock (the page table is modelled lock-free).
+    match shared_lock_count().zip(shared_before) {
+        Some((after, before)) => {
+            let shared_locks = after - before;
+            json.add_scalar("scale/fastpath/shared_locks", shared_locks as f64);
+            println!("  -> fault-fast-path shared-lock acquisitions: {shared_locks}");
+        }
+        None => {
+            println!("  -> fault-fast-path shared-lock acquisitions: not counted (metrics off)")
+        }
+    }
     let kops = |eng: &str, n: usize| {
         cells
             .iter()
@@ -705,18 +704,5 @@ pub fn runner() -> Runner<'static> {
         "scale",
         "fault throughput 1 -> 256 vcores: mmio near-linear vs linuxsim flatlining",
         part_scale,
-    )
-    // The multi-tenant QoS experiment also ships as its own `serve`
-    // binary (with a `diurnal` part); this alias keeps the serving
-    // story reachable from the sweep entry point.
-    .part(
-        "serve",
-        "multi-tenant QoS isolation (alias of the serve binary's qos part)",
-        super::serve::part_qos,
-    )
-    .part(
-        "integrity",
-        "silent-corruption storm, mirrored + scrubbed (alias of the serve binary's integrity part)",
-        super::serve::part_integrity,
     )
 }

@@ -149,10 +149,7 @@ impl Micro {
     /// Resets timing models between phases.
     pub fn reset_timing(&self) {
         match &self.inner {
-            Inner::Aquila { aquila, access, .. } => {
-                aquila.reset_lock_timing();
-                access.reset_timing();
-            }
+            Inner::Aquila { access, .. } => access.reset_timing(),
             Inner::Linux { lm, kdev, .. } => {
                 lm.reset_timing();
                 kdev.reset_timing();

@@ -164,6 +164,12 @@ impl JsonReport {
         }
     }
 
+    /// Replaces the record's title (a runner running a single part
+    /// titles the record after that part).
+    pub fn set_title(&mut self, title: impl Into<String>) {
+        self.title = title.into();
+    }
+
     /// Records a throughput/latency row (same data as [`print_rows`]).
     pub fn add_row(&mut self, row: &Row) {
         self.rows.push(row.clone());

@@ -25,9 +25,11 @@
 //! - an unknown selector prints usage and exits 2.
 //!
 //! Parts run in registration order regardless of selector order, each at
-//! most once, all against the same [`JsonReport`]; the runner calls
-//! [`BenchArgs::finish`] at the end so artifacts and the race summary
-//! behave exactly as before.
+//! most once, all against the same [`JsonReport`]. The record carries the
+//! binary's title, or the part's description when exactly one part runs
+//! (so `sweep scale --json` is titled after the scale sweep). The runner
+//! calls [`BenchArgs::finish`] at the end so artifacts and the race
+//! summary behave exactly as before.
 
 use crate::cli::BenchArgs;
 use crate::report::JsonReport;
@@ -48,7 +50,8 @@ pub struct Runner<'a> {
 }
 
 impl<'a> Runner<'a> {
-    /// Creates a runner for binary `bin`; `title` seeds the JSON record.
+    /// Creates a runner for binary `bin`; `title` seeds the JSON record
+    /// when more than one part runs.
     pub fn new(bin: &'static str, title: &str) -> Runner<'a> {
         Runner {
             bin,
@@ -120,10 +123,13 @@ impl<'a> Runner<'a> {
                 std::process::exit(2);
             }
         }
+        self.parts
+            .retain(|p| all || selected.iter().any(|s| s == p.name));
+        if let [only] = &self.parts[..] {
+            self.report.set_title(only.what);
+        }
         for p in &mut self.parts {
-            if all || selected.iter().any(|s| s == p.name) {
-                (p.body)(&args, &mut self.report);
-            }
+            (p.body)(&args, &mut self.report);
         }
         args.finish(&self.report);
     }
@@ -169,6 +175,29 @@ mod tests {
         let ran = std::cell::RefCell::new(Vec::new());
         runner(&ran).run(argv(&["--full"]), "a");
         assert_eq!(*ran.borrow(), vec!["a"]);
+    }
+
+    #[test]
+    fn json_title_follows_a_single_part() {
+        let title = |sel: &[&str]| {
+            let seen = std::cell::RefCell::new(String::new());
+            let record = |_: &BenchArgs, r: &mut JsonReport| {
+                let t = r
+                    .to_json()
+                    .get("title")
+                    .and_then(|t| t.as_str())
+                    .map(String::from);
+                *seen.borrow_mut() = t.unwrap_or_default();
+            };
+            Runner::new("figX", "binary title")
+                .part("a", "first part", record)
+                .part("b", "second part", record)
+                .run(argv(sel), "all");
+            seen.into_inner()
+        };
+        assert_eq!(title(&["b"]), "second part");
+        assert_eq!(title(&["a", "b"]), "binary title");
+        assert_eq!(title(&["all"]), "binary title");
     }
 
     #[test]

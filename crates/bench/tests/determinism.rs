@@ -178,23 +178,12 @@ fn serve_integrity_part_is_bit_identical_and_repairs_everything() {
     );
 }
 
-/// `sweep serve` (the alias part) runs the same experiment from the
-/// sweep entry point, deterministically.
-#[test]
-fn sweep_serve_part_is_bit_identical_across_runs() {
-    let stdout = assert_double_run_identical(env!("CARGO_BIN_EXE_sweep"), "serve", "sweep-serve");
-    assert!(
-        stdout.contains("zipf-hot"),
-        "sweep serve must run the QoS experiment:\n{stdout}"
-    );
-}
-
 /// Runs one `sweep scale` cell (a seeded many-vcore fault storm over
 /// disjoint regions of one shared file) twice and asserts the full
 /// determinism contract — bit-identical stdout/JSON/trace, a clean race
-/// detector — plus the scale contract: with spill-free regions and the
-/// sharded page table on, the fault fast path takes zero shared-lock
-/// acquisitions (no VMA-tree walk locks, no legacy shared page table).
+/// detector — plus the scale contract: with spill-free regions on, the
+/// fault fast path takes zero shared-lock acquisitions (no VMA-tree walk
+/// locks; the page table is modelled lock-free).
 fn assert_scale_cell_clean(cores: &str) {
     let stdout = assert_double_run_identical_with(
         env!("CARGO_BIN_EXE_sweep"),
@@ -202,8 +191,11 @@ fn assert_scale_cell_clean(cores: &str) {
         &format!("scale-c{cores}"),
         &[&format!("--cores={cores}")],
     );
+    // `--json` installs the metrics registry, so the count is real.
     assert!(
-        stdout.contains("shared-lock acquisitions: 0"),
+        stdout
+            .lines()
+            .any(|l| l == "  -> fault-fast-path shared-lock acquisitions: 0"),
         "fault fast path touched a shared lock at {cores} vcores:\n{stdout}"
     );
     let (_, json, _) = run_bin_with(
@@ -233,12 +225,31 @@ fn scale_storm_16_vcores_is_race_clean_and_bit_identical() {
     assert_scale_cell_clean("16");
 }
 
-/// 256 vcores: the full-width storm — 256 concurrent faulting vcores,
-/// 256 page-table shards, freelist steal batching live — race-clean,
-/// zero shared-lock acquisitions, bit-identical across runs.
+/// 256 vcores: the full-width storm — 256 concurrent faulting vcores
+/// with freelist steals live — race-clean, zero shared-lock
+/// acquisitions, bit-identical across runs.
 #[test]
 fn scale_storm_256_vcores_is_race_clean_and_bit_identical() {
     assert_scale_cell_clean("256");
+}
+
+/// Without `--json`/`--trace` no metrics registry is installed, so the
+/// scale sweep must say the shared-lock count was not taken rather than
+/// report a zero it never counted.
+#[test]
+fn scale_without_metrics_reports_shared_locks_not_counted() {
+    let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .args(["scale", "--cores=1"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "sweep scale --cores=1 failed");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.lines().any(
+            |l| l == "  -> fault-fast-path shared-lock acquisitions: not counted (metrics off)"
+        ),
+        "uncounted shared locks must not print as a number:\n{stdout}"
+    );
 }
 
 /// Fault-injection property: installing an *empty* fault plan

@@ -79,10 +79,6 @@ pub struct MmioPolicy {
     /// promotion triggers; the remainder is filled eagerly from the
     /// device during collapse. Clamped to `1..=512` at engine boot.
     pub promote_threshold: usize,
-    /// Upper bound on promoted cache share, in percent of
-    /// `max_cache_frames` (sizes the slab pool: promotion stops when all
-    /// slab runs are in use). Clamped to `1..=100` at engine boot.
-    pub max_promoted_share: usize,
     /// Enables multi-tenant QoS (DESIGN.md §15): per-tenant freelist
     /// quotas (an over-quota tenant reclaims its own frames before
     /// consuming the shared freelist), tenant-fair evictor rounds
@@ -92,22 +88,13 @@ pub struct MmioPolicy {
     /// or degraded). Off by default: single-tenant runs are bit-for-bit
     /// unchanged.
     pub tenant_qos: bool,
-    /// Base admission-delay unit under [`MmioPolicy::tenant_qos`]. A
-    /// noisy tenant's fault is delayed by this amount scaled by how deep
-    /// the freelist sits below the low watermark; sheds kick in when the
-    /// deficit exceeds half the low watermark or the region is degraded.
-    pub qos_delay: Cycles,
     /// Mirrors the NVMe backend 2-for-1 with per-sector checksums and
     /// read-repair (DESIGN.md §16). Only meaningful for
     /// `DeviceKind::NvmeSpdk`; mirrored configurations forfeit
     /// deep-queue batched writeback (the mirror exposes no raw device).
     /// Off by default: single-device runs are bit-for-bit unchanged.
+    /// Every read through the mirror verifies its per-sector checksums.
     pub mirror: bool,
-    /// Verify per-sector checksums on every read through the mirror
-    /// (on by default; disabling it is the ablation that lets silent
-    /// corruption through undetected). No effect without
-    /// [`MmioPolicy::mirror`].
-    pub checksums: bool,
     /// Virtual-time pause between background-scrubber pages;
     /// [`Cycles::ZERO`] disables the scrubber. Only meaningful with
     /// [`MmioPolicy::mirror`].
@@ -117,14 +104,6 @@ pub struct MmioPolicy {
     /// fault (DESIGN.md §17) — instead of the radix VMA tree. Off by
     /// default: tree-based runs are bit-for-bit unchanged.
     pub spill_regions: bool,
-    /// Number of page-table shards with per-vcore ownership (keyed by
-    /// 2 MiB block, so huge runs keep one owner). 0 keeps the legacy
-    /// single shared table, byte-identical to the pre-sharding engine.
-    pub pt_shards: usize,
-    /// Extra frames a sibling freelist steal migrates to the stealing
-    /// core (work-stealing rebalance, DESIGN.md §17). 0 keeps the legacy
-    /// steal-one behavior.
-    pub freelist_steal_batch: usize,
 }
 
 impl Default for MmioPolicy {
@@ -140,15 +119,10 @@ impl Default for MmioPolicy {
             stall_deadline: Cycles::from_millis(10),
             huge_pages: false,
             promote_threshold: 512,
-            max_promoted_share: 50,
             tenant_qos: false,
-            qos_delay: Cycles::from_micros(2),
             mirror: false,
-            checksums: true,
             scrub_rate: Cycles::ZERO,
             spill_regions: false,
-            pt_shards: 0,
-            freelist_steal_batch: 0,
         }
     }
 }
@@ -289,13 +263,6 @@ impl AquilaConfigBuilder {
         self
     }
 
-    /// Maximum promoted share of the cache, in percent (sizes the slab
-    /// pool).
-    pub fn max_promoted_share(mut self, percent: usize) -> Self {
-        self.cfg.policy.max_promoted_share = percent;
-        self
-    }
-
     /// Enables multi-tenant QoS: quotas, fair eviction, admission
     /// control (default off).
     pub fn tenant_qos(mut self, on: bool) -> Self {
@@ -303,23 +270,10 @@ impl AquilaConfigBuilder {
         self
     }
 
-    /// Base admission-delay unit applied to over-quota tenants under
-    /// pressure (default 2 µs).
-    pub fn qos_delay(mut self, delay: Cycles) -> Self {
-        self.cfg.policy.qos_delay = delay;
-        self
-    }
-
     /// Enables the 2-way mirrored NVMe backend with read-repair
     /// (default off).
     pub fn mirror(mut self, on: bool) -> Self {
         self.cfg.policy.mirror = on;
-        self
-    }
-
-    /// Per-sector checksum verification on mirrored reads (default on).
-    pub fn checksums(mut self, on: bool) -> Self {
-        self.cfg.policy.checksums = on;
         self
     }
 
@@ -334,20 +288,6 @@ impl AquilaConfigBuilder {
     /// descriptors instead of the VMA tree (default off).
     pub fn spill_regions(mut self, on: bool) -> Self {
         self.cfg.policy.spill_regions = on;
-        self
-    }
-
-    /// Page-table shards with per-vcore ownership; 0 (default) keeps the
-    /// legacy single shared table.
-    pub fn pt_shards(mut self, shards: usize) -> Self {
-        self.cfg.policy.pt_shards = shards;
-        self
-    }
-
-    /// Extra frames migrated per sibling freelist steal (default 0:
-    /// steal exactly one).
-    pub fn freelist_steal_batch(mut self, batch: usize) -> Self {
-        self.cfg.policy.freelist_steal_batch = batch;
         self
     }
 
@@ -436,30 +376,24 @@ mod tests {
         let d = MmioPolicy::default();
         assert!(!d.huge_pages);
         assert_eq!(d.promote_threshold, 512);
-        assert_eq!(d.max_promoted_share, 50);
         let cfg = AquilaConfig::builder(2, 4096)
             .huge_pages(true)
             .promote_threshold(384)
-            .max_promoted_share(25)
             .build();
         assert!(cfg.policy.huge_pages);
         assert_eq!(cfg.policy.promote_threshold, 384);
-        assert_eq!(cfg.policy.max_promoted_share, 25);
     }
 
     #[test]
     fn integrity_knobs_default_off_and_flow_through() {
         let d = MmioPolicy::default();
         assert!(!d.mirror, "mirroring must be opt-in");
-        assert!(d.checksums, "verification defaults on once mirrored");
         assert_eq!(d.scrub_rate, Cycles::ZERO, "scrubber off by default");
         let cfg = AquilaConfig::builder(2, 1024)
             .mirror(true)
-            .checksums(false)
             .scrub_rate(Cycles::from_micros(50))
             .build();
         assert!(cfg.policy.mirror);
-        assert!(!cfg.policy.checksums);
         assert_eq!(cfg.policy.scrub_rate, Cycles::from_micros(50));
     }
 
@@ -478,28 +412,15 @@ mod tests {
     fn scale_knobs_default_off_and_flow_through() {
         let d = MmioPolicy::default();
         assert!(!d.spill_regions, "region map must be opt-in");
-        assert_eq!(d.pt_shards, 0, "legacy shared page table by default");
-        assert_eq!(d.freelist_steal_batch, 0, "legacy steal-one by default");
-        let cfg = AquilaConfig::builder(16, 4096)
-            .spill_regions(true)
-            .pt_shards(16)
-            .freelist_steal_batch(8)
-            .build();
+        let cfg = AquilaConfig::builder(16, 4096).spill_regions(true).build();
         assert!(cfg.policy.spill_regions);
-        assert_eq!(cfg.policy.pt_shards, 16);
-        assert_eq!(cfg.policy.freelist_steal_batch, 8);
     }
 
     #[test]
     fn qos_knobs_default_off_and_flow_through() {
         let d = MmioPolicy::default();
         assert!(!d.tenant_qos, "QoS must be opt-in");
-        assert_eq!(d.qos_delay, Cycles::from_micros(2));
-        let cfg = AquilaConfig::builder(2, 1024)
-            .tenant_qos(true)
-            .qos_delay(Cycles::from_micros(5))
-            .build();
+        let cfg = AquilaConfig::builder(2, 1024).tenant_qos(true).build();
         assert!(cfg.policy.tenant_qos);
-        assert_eq!(cfg.policy.qos_delay, Cycles::from_micros(5));
     }
 }

@@ -23,8 +23,8 @@ use aquila_sync::Mutex;
 
 use aquila_devices::{BufRef, DeviceError, NvmeOp, StorageAccess, STORE_PAGE};
 use aquila_mmu::{
-    Access, FrameId, Gva, LeafKind, PteFlags, ShardedPageTable, TlbFabric, Vpn, HUGE_PAGE_PAGES,
-    L_PT_SHARD, PAGE_2M, PAGE_SIZE,
+    Access, FrameId, Gva, LeafKind, PageTable, PteFlags, TlbFabric, Vpn, HUGE_PAGE_PAGES, PAGE_2M,
+    PAGE_SIZE,
 };
 use aquila_pcache::{
     coalesce_runs, CacheConfig, DirtyPage, DramCache, PageKey, Victim, MAX_TENANTS,
@@ -49,6 +49,16 @@ const V_TLB: &str = "mmu.tlb.state";
 // so its edges in the dynamic order graph never form a cycle.
 const L_HUGE: &str = "aquila.huge";
 const V_HUGE: &str = "aquila.huge.runs";
+
+// The software page-table lock: one identity, a leaf ranked after
+// `aquila.huge`, modelled lock-free (DESIGN.md §17).
+const L_PT: &str = "mmu.pt";
+const V_PT: &str = "mmu.pt.state";
+
+/// Promoted share of the cache in percent; sizes the slab pool.
+const MAX_PROMOTED_SHARE: usize = 50;
+/// Base admission delay for an over-quota tenant under pressure.
+const QOS_DELAY: Cycles = Cycles::from_micros(2);
 
 use aquila_vma::AddressSpace;
 pub use aquila_vma::{Advice, Prot};
@@ -93,7 +103,7 @@ pub enum Admission {
     /// Proceed immediately.
     Admit,
     /// Proceed after charging the given deterministic throttle delay
-    /// (scaled from [`MmioPolicy::qos_delay`] by watermark deficit).
+    /// (scaled from a 2 µs base unit by watermark deficit).
     Delay(Cycles),
     /// Refuse with [`AquilaError::QosShed`]: deep watermark deficit or
     /// a degraded region, and the tenant is over quota.
@@ -124,7 +134,7 @@ pub struct Aquila {
     files: Files,
     cache: DramCache,
     vmas: AddressSpace,
-    page_table: ShardedPageTable,
+    page_table: Mutex<PageTable>,
     tlbs: TlbFabric,
     debts: Arc<CoreDebts>,
     vcpus: Vec<Mutex<Vcpu>>,
@@ -165,21 +175,17 @@ impl Aquila {
             .policy
             .promote_threshold
             .clamp(1, HUGE_PAGE_PAGES as usize);
-        cfg.policy.max_promoted_share = cfg.policy.max_promoted_share.clamp(1, 100);
         let mut ccfg = CacheConfig::flat(cfg.max_cache_frames, cfg.cores);
         ccfg.initial_frames = cfg.cache_frames;
         ccfg.evict_batch = cfg.policy.evict_batch;
         ccfg.low_watermark = cfg.policy.low_watermark;
         ccfg.high_watermark = cfg.policy.high_watermark;
         ccfg.topology = cfg.topology;
-        ccfg.freelist.steal_batch = cfg.policy.freelist_steal_batch;
         // The slab sizes the promoted share: each run holds 512 frames
         // *in addition to* the ordinary cache, so a full slab means
-        // `max_promoted_share` percent of the cache is huge-mapped.
+        // `MAX_PROMOTED_SHARE` percent of the cache is huge-mapped.
         ccfg.slab_runs = if cfg.policy.huge_pages {
-            ((cfg.max_cache_frames * cfg.policy.max_promoted_share / 100)
-                / HUGE_PAGE_PAGES as usize)
-                .max(1)
+            ((cfg.max_cache_frames * MAX_PROMOTED_SHARE / 100) / HUGE_PAGE_PAGES as usize).max(1)
         } else {
             0
         };
@@ -209,12 +215,12 @@ impl Aquila {
             granules += 1;
         }
         // The huge-run registry is the outermost annotated lock on the
-        // promotion path; page-table shard locks are leaves under it.
-        race::declare_order("mmu", &[L_HUGE, L_PT_SHARD]);
+        // promotion path; the page-table lock is a leaf under it.
+        race::declare_order("mmu", &[L_HUGE, L_PT]);
         let aquila = Aquila {
             files: Files::new(),
             vmas: AddressSpace::new(0x10_0000, cfg.policy.spill_regions),
-            page_table: ShardedPageTable::new(cfg.policy.pt_shards),
+            page_table: Mutex::new(PageTable::new()),
             tlbs: TlbFabric::new(cfg.cores),
             vcpus: (0..cfg.cores).map(|_| Mutex::new(Vcpu::new())).collect(),
             rmap: (0..cfg.max_cache_frames + slab_frames)
@@ -377,7 +383,7 @@ impl Aquila {
         }
         // Mild pressure: deterministic backoff growing linearly with how
         // deep the freelist sits below the watermark.
-        let unit = self.cfg.policy.qos_delay.0.max(1);
+        let unit = QOS_DELAY.0;
         let scaled = unit + unit.saturating_mul(4 * deficit as u64) / low as u64;
         Admission::Delay(Cycles(scaled))
     }
@@ -504,7 +510,7 @@ impl Aquila {
         self.demote_range(ctx, addr.vpn(), pages);
         let mut flushed = Vec::new();
         for (vpn, _) in &removed {
-            let unmapped = self.page_table.with(ctx, *vpn, |pt| pt.unmap(vpn.base()));
+            let unmapped = self.with_pt(ctx, |pt| pt.unmap(vpn.base()));
             if let Some(pte) = unmapped {
                 self.rmap_remove(pte_frame(&self.cache, pte.gpa), *vpn);
                 flushed.push(*vpn);
@@ -529,7 +535,7 @@ impl Aquila {
         let mut flushed = Vec::new();
         for i in 0..old_pages {
             let vpn = Vpn(addr.vpn().0 + i);
-            let unmapped = self.page_table.with(ctx, vpn, |pt| pt.unmap(vpn.base()));
+            let unmapped = self.with_pt(ctx, |pt| pt.unmap(vpn.base()));
             if let Some(pte) = unmapped {
                 self.rmap_remove(pte_frame(&self.cache, pte.gpa), vpn);
                 flushed.push(vpn);
@@ -567,7 +573,7 @@ impl Aquila {
             let mut flushed = Vec::new();
             for i in 0..pages {
                 let vpn = Vpn(addr.vpn().0 + i);
-                let unmapped = self.page_table.with(ctx, vpn, |pt| pt.unmap(vpn.base()));
+                let unmapped = self.with_pt(ctx, |pt| pt.unmap(vpn.base()));
                 if let Some(pte) = unmapped {
                     self.rmap_remove(pte_frame(&self.cache, pte.gpa), vpn);
                     flushed.push(vpn);
@@ -600,7 +606,7 @@ impl Aquila {
             let mut flushed = Vec::new();
             for i in 0..pages {
                 let vpn = Vpn(addr.vpn().0 + i);
-                let present = self.page_table.with(ctx, vpn, |pt| {
+                let present = self.with_pt(ctx, |pt| {
                     if pt.lookup(vpn.base()).is_some() {
                         pt.protect(vpn.base(), PteFlags::RO);
                         true
@@ -676,7 +682,7 @@ impl Aquila {
         let mut flushed = Vec::new();
         for d in &dirty {
             let vpn = Vpn(desc.start.0 + (d.key.page - desc.file_page));
-            let present = self.page_table.with(ctx, vpn, |pt| {
+            let present = self.with_pt(ctx, |pt| {
                 if pt.lookup(vpn.base()).is_some() {
                     pt.protect(vpn.base(), PteFlags::RO);
                     true
@@ -765,10 +771,14 @@ impl Aquila {
             }
             // Page-table walk (hardware, on TLB miss; the MMU takes no
             // software lock — it contends on memory, not the table).
-            let walked = self.page_table.translate(gva, access);
+            let walked = self.page_table.lock().translate(gva, access);
             match walked {
                 Ok(gpa) => {
-                    let (pte, kind) = self.page_table.lookup_leaf(gva).expect("just walked");
+                    let (pte, kind) = self
+                        .page_table
+                        .lock()
+                        .lookup_leaf(gva)
+                        .expect("just walked");
                     // The hardware walk behind the TLB miss: one memory
                     // reference per radix level. Huge leaves terminate
                     // at the PD, one level early — part of their
@@ -882,10 +892,11 @@ impl Aquila {
 
         // Re-check the page table: the fault may have raced with another
         // handler that already installed the mapping. The probe itself is
-        // a hardware-style walk; only an actual upgrade takes the owning
-        // shard's lock (the per-entry fault lock already serializes
+        // a hardware-style walk; only an actual upgrade takes the
+        // page-table lock (the per-entry fault lock already serializes
         // handlers for this page).
-        if let Some((pte, kind)) = self.page_table.lookup_leaf(gva) {
+        let leaf = self.page_table.lock().lookup_leaf(gva);
+        if let Some((pte, kind)) = leaf {
             if pte.flags.present {
                 if access == Access::Write && !pte.flags.writable {
                     match kind {
@@ -899,7 +910,7 @@ impl Aquila {
                             }
                             let mut fl = PteFlags::RW;
                             fl.dirty = true;
-                            self.page_table.with(ctx, vpn, |pt| pt.protect(gva, fl));
+                            self.with_pt(ctx, |pt| pt.protect(gva, fl));
                             let core = ctx.core() % self.cfg.cores;
                             race::acquire(ctx, (L_TLB, core as u64));
                             self.tlbs.with_local(core, |t| t.invalidate(vpn));
@@ -965,6 +976,16 @@ impl Aquila {
         Ok(())
     }
 
+    /// Runs a software page-table update. Modelled lock-free: no virtual
+    /// time is charged, and the closure must touch only the table.
+    fn with_pt<R>(&self, ctx: &mut dyn SimCtx, f: impl FnOnce(&mut PageTable) -> R) -> R {
+        race::acquire(ctx, (L_PT, 0));
+        let out = f(&mut self.page_table.lock());
+        race::write(ctx, (V_PT, 0));
+        race::release(ctx, (L_PT, 0));
+        out
+    }
+
     /// Installs the PTE + local TLB entry for a resolved fault.
     fn map_frame(
         &self,
@@ -988,7 +1009,7 @@ impl Aquila {
         // PTE install + local TLB fill cost.
         ctx.charge(CostCat::FaultHandler, Cycles(300));
         let gpa = self.cache.mem().gpa_of(frame);
-        self.page_table.with(ctx, vpn, |pt| {
+        self.with_pt(ctx, |pt| {
             pt.map(vpn.base(), gpa, flags);
         });
         self.rmap[frame.0 as usize].lock().push(vpn);
@@ -1066,7 +1087,7 @@ impl Aquila {
         for v in victims {
             let vpns = std::mem::take(&mut *self.rmap[v.frame.0 as usize].lock());
             for vpn in vpns {
-                self.page_table.with(ctx, vpn, |pt| {
+                self.with_pt(ctx, |pt| {
                     pt.unmap(vpn.base());
                 });
                 flushed.push(vpn);
@@ -1667,13 +1688,13 @@ impl Aquila {
         let mut flushed: Vec<Vpn> = Vec::new();
         for (_, vpns) in &displaced {
             for vpn in vpns {
-                let unmapped = self.page_table.with(ctx, *vpn, |pt| pt.unmap(vpn.base()));
+                let unmapped = self.with_pt(ctx, |pt| pt.unmap(vpn.base()));
                 if unmapped.is_some() {
                     flushed.push(*vpn);
                 }
             }
         }
-        self.page_table.with(ctx, hbase, |pt| {
+        self.with_pt(ctx, |pt| {
             pt.map_huge(hbase.base(), gpa, fl);
         });
         self.tlbs
@@ -1728,7 +1749,7 @@ impl Aquila {
         }
         let mut fl = PteFlags::RW;
         fl.dirty = true;
-        self.page_table.with(ctx, hbase, |pt| {
+        self.with_pt(ctx, |pt| {
             pt.protect(hbase.base(), fl);
         });
         // Upgrades need no shootdown: stale read-only entries on other
@@ -1765,7 +1786,7 @@ impl Aquila {
             return;
         }
         for (hv, _) in &dropped {
-            self.page_table.with(ctx, *hv, |pt| {
+            self.with_pt(ctx, |pt| {
                 pt.unmap_huge(hv.base());
             });
         }
@@ -1838,15 +1859,14 @@ impl Aquila {
 
     /// 4 KiB pages currently mapped through 2 MiB leaves.
     pub fn huge_mapped_pages(&self) -> u64 {
-        self.page_table.huge_mapped() * HUGE_PAGE_PAGES
+        self.page_table.lock().huge_mapped() * HUGE_PAGE_PAGES
     }
 
-    /// Resets the page-table shard contention models (harnesses call
-    /// this between a warm-up phase and a measured run, alongside the
-    /// device-side `reset_timing`).
-    pub fn reset_lock_timing(&self) {
-        self.page_table.reset_timing();
-    }
+    /// Resets engine lock contention models between a warm-up phase and
+    /// a measured run. The page table is modelled lock-free and keeps no
+    /// contention state, so this is a no-op, kept for harnesses that
+    /// reset every layer between phases.
+    pub fn reset_lock_timing(&self) {}
 
     /// Huge-TLB (2 MiB sub-array) hits summed across cores.
     pub fn tlb_huge_hits(&self) -> u64 {

@@ -19,7 +19,6 @@
 pub mod addr;
 pub mod pagetable;
 pub mod physmem;
-pub mod sharded;
 pub mod tlb;
 
 pub use addr::{
@@ -27,5 +26,4 @@ pub use addr::{
 };
 pub use pagetable::{Access, LeafKind, PageFaultKind, PageTable, Pte, PteFlags};
 pub use physmem::{FrameId, PhysMem};
-pub use sharded::{ShardedPageTable, L_PT_SHARD};
 pub use tlb::{Tlb, TlbFabric};

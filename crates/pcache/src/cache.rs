@@ -77,7 +77,6 @@ impl CacheConfig {
             freelist: FreelistConfig {
                 core_spill_threshold: spill,
                 level_batch: (spill / 2).max(16),
-                steal_batch: 0,
             },
             gpa_base: 0x1_0000_0000,
             slab_runs: 0,
@@ -368,13 +367,8 @@ impl DramCache {
                 aquila_sim::metrics::add(ctx, "pcache.freelist.remote_refills", 1);
                 race::read_acquire(ctx, (V_FREELIST_NODE, node as u64));
             }
-            Some((_, AllocOutcome::Steal { victim, rebalanced })) => {
+            Some((_, AllocOutcome::Steal { victim })) => {
                 aquila_sim::metrics::add(ctx, "pcache.freelist.steals", 1);
-                aquila_sim::metrics::add(
-                    ctx,
-                    "pcache.freelist.stolen_frames",
-                    1 + rebalanced as u64,
-                );
                 race::acquire(ctx, (L_FREELIST, victim as u64));
                 race::write(ctx, (V_FREELIST, victim as u64));
                 race::release(ctx, (L_FREELIST, victim as u64));
@@ -1217,17 +1211,15 @@ mod tests {
         }
     }
 
-    /// Shard rebalance composes with tenant quotas (DESIGN.md §15+§17):
+    /// A freelist steal composes with tenant quotas (DESIGN.md §15+§17):
     /// a quota-pressured tenant's frames are reclaimed onto the evicting
     /// vcore's freelist shard, and another tenant allocating from a
-    /// different vcore steals them across shards — with the batch
-    /// rebalance making the follow-on allocs local — while per-tenant
-    /// residency accounting stays exact throughout.
+    /// different vcore steals them across shards one frame at a time,
+    /// while per-tenant residency accounting stays exact throughout.
     #[test]
     fn steal_under_quota_pressure_composes_with_tenant_accounting() {
         let mut cfg = CacheConfig::flat(16, 2);
         cfg.evict_batch = 4;
-        cfg.freelist.steal_batch = 8;
         let cache = DramCache::new(cfg);
         cache.bind_file_tenant(1, 1);
         cache.bind_file_tenant(2, 2);
@@ -1252,8 +1244,7 @@ mod tests {
         assert_eq!(cache.tenant_resident(1), 10);
         assert!(cache.tenant_over_quota(1), "still above quota");
         // Vcore 1 allocates for tenant 2: its own shard and the node
-        // queue are empty, so the first alloc crosses shards (a steal)
-        // and the rebalance batch makes the rest local.
+        // queue are empty, so every alloc crosses shards (a steal).
         let mut ctx1 = FreeCtx::new(2).with_core(1, 2);
         let f = cache.try_alloc(&mut ctx1).unwrap();
         cache
@@ -1265,7 +1256,7 @@ mod tests {
             .map(|_| {
                 cache
                     .try_alloc(&mut ctx1)
-                    .expect("rebalanced frames satisfy follow-on allocs")
+                    .expect("each follow-on alloc steals another reclaimed frame")
             })
             .collect();
         assert!(
@@ -1286,7 +1277,6 @@ mod tests {
         use std::sync::Arc;
         let mut cfg = CacheConfig::flat(32, 2);
         cfg.evict_batch = 4;
-        cfg.freelist.steal_batch = 4;
         let cache = Arc::new(DramCache::new(cfg));
         let mut ctx = FreeCtx::new(1);
         for p in 0..32u64 {

@@ -56,10 +56,6 @@ pub struct FreelistConfig {
     pub core_spill_threshold: usize,
     /// Batch size for movement between levels (paper: 4096).
     pub level_batch: usize,
-    /// Extra frames a sibling steal migrates into the stealing core's
-    /// queue (work-stealing rebalance). 0 keeps the legacy behavior of
-    /// stealing exactly the one frame being allocated.
-    pub steal_batch: usize,
 }
 
 impl Default for FreelistConfig {
@@ -67,7 +63,6 @@ impl Default for FreelistConfig {
         FreelistConfig {
             core_spill_threshold: 8192,
             level_batch: 4096,
-            steal_batch: 0,
         }
     }
 }
@@ -83,13 +78,10 @@ pub enum AllocOutcome {
     NodeRefill(usize),
     /// Refilled from a remote NUMA node's queue.
     RemoteNode(usize),
-    /// Stole from a sibling core's queue.
+    /// Stole one frame from a sibling core's queue.
     Steal {
         /// The core stolen from.
         victim: usize,
-        /// Extra frames migrated to the stealer's queue beyond the one
-        /// returned (the `steal_batch` rebalance).
-        rebalanced: usize,
     },
 }
 
@@ -137,9 +129,8 @@ impl Freelist {
     }
 
     /// Like [`Freelist::alloc`], but reports where the frame came from.
-    /// A sibling steal additionally migrates up to `steal_batch` extra
-    /// frames from the victim's queue into the stealer's (deterministic
-    /// ascending victim scan), so one steal rebalances a run of them.
+    /// A sibling steal takes exactly the one frame being allocated
+    /// (deterministic ascending victim scan).
     pub fn alloc_traced(&self, core: usize) -> Option<(FrameId, AllocOutcome)> {
         let core = core % self.core_queues.len();
         if let Some(f) = self.core_queues[core].pop() {
@@ -160,24 +151,7 @@ impl Freelist {
         for other in 0..self.core_queues.len() {
             if other != core {
                 if let Some(f) = self.core_queues[other].pop() {
-                    let cq = &self.core_queues[core];
-                    let mut rebalanced = 0;
-                    while rebalanced < self.cfg.steal_batch {
-                        match self.core_queues[other].pop() {
-                            Some(extra) => {
-                                cq.push(extra);
-                                rebalanced += 1;
-                            }
-                            None => break,
-                        }
-                    }
-                    return Some((
-                        f,
-                        AllocOutcome::Steal {
-                            victim: other,
-                            rebalanced,
-                        },
-                    ));
+                    return Some((f, AllocOutcome::Steal { victim: other }));
                 }
             }
         }
@@ -314,7 +288,6 @@ mod tests {
         let cfg = FreelistConfig {
             core_spill_threshold: 10,
             level_batch: 8,
-            steal_batch: 0,
         };
         let fl = Freelist::new(NumaTopology::flat(2), cfg, frames(0));
         let mut spilled = false;
@@ -352,93 +325,32 @@ mod tests {
     }
 
     #[test]
-    fn batched_steal_reports_and_rebalances() {
+    fn sibling_steal_takes_one_frame_and_reports_the_victim() {
         let cfg = FreelistConfig {
             core_spill_threshold: 1000,
             level_batch: 4,
-            steal_batch: 4,
         };
         let fl = Freelist::new(NumaTopology::flat(2), cfg, frames(0));
         // Core 1 holds every free frame (eviction freed them there).
-        for i in 0..6 {
-            fl.free(1, FrameId(i));
-        }
-        // Core 0's alloc steals the head and migrates a batch behind it.
-        let (f, o) = fl.alloc_traced(0).unwrap();
-        assert_eq!(f, FrameId(0));
-        assert_eq!(
-            o,
-            AllocOutcome::Steal {
-                victim: 1,
-                rebalanced: 4
-            }
-        );
-        // The migrated frames now satisfy local hits, in victim order.
-        for i in 1..5 {
-            let (f, o) = fl.alloc_traced(0).unwrap();
-            assert_eq!((f, o), (FrameId(i), AllocOutcome::LocalHit));
-        }
-        // The victim keeps what was not migrated.
-        let (f, o) = fl.alloc_traced(1).unwrap();
-        assert_eq!((f, o), (FrameId(5), AllocOutcome::LocalHit));
-        assert!(fl.alloc(0).is_none());
-    }
-
-    #[test]
-    fn steal_batch_larger_than_victim_queue_takes_what_exists() {
-        let cfg = FreelistConfig {
-            core_spill_threshold: 1000,
-            level_batch: 4,
-            steal_batch: 64,
-        };
-        let fl = Freelist::new(NumaTopology::flat(2), cfg, frames(0));
         for i in 0..3 {
             fl.free(1, FrameId(i));
         }
-        let (f, o) = fl.alloc_traced(0).unwrap();
-        assert_eq!(f, FrameId(0));
-        assert_eq!(
-            o,
-            AllocOutcome::Steal {
-                victim: 1,
-                rebalanced: 2
-            },
-            "a short victim queue bounds the rebalance"
-        );
-        assert_eq!(fl.free_count(), 2);
-    }
-
-    /// Steal batching is pure prefetch: the *sequence of frames* each
-    /// alloc returns is byte-identical to the `steal_batch = 0` legacy
-    /// behavior — batching only changes which queue they wait in.
-    #[test]
-    fn steal_batch_is_invisible_to_the_alloc_sequence() {
-        let seq = |batch: usize| -> Vec<u32> {
-            let cfg = FreelistConfig {
-                core_spill_threshold: 1000,
-                level_batch: 4,
-                steal_batch: batch,
-            };
-            let fl = Freelist::new(NumaTopology::flat(4), cfg, frames(0));
-            for i in 0..32 {
-                fl.free(0, FrameId(i));
-            }
-            (0..32).map(|_| fl.alloc(2).unwrap().0).collect()
-        };
-        let legacy = seq(0);
-        assert_eq!(legacy, seq(3));
-        assert_eq!(legacy, seq(64));
+        // Each of core 0's allocs steals exactly one frame, in victim
+        // order; the victim keeps the rest in its own queue.
+        for i in 0..2 {
+            let (f, o) = fl.alloc_traced(0).unwrap();
+            assert_eq!((f, o), (FrameId(i), AllocOutcome::Steal { victim: 1 }));
+        }
+        let (f, o) = fl.alloc_traced(1).unwrap();
+        assert_eq!((f, o), (FrameId(2), AllocOutcome::LocalHit));
+        assert!(fl.alloc(0).is_none());
     }
 
     /// The degenerate single-core topology can never steal (there is no
-    /// sibling), whatever the batch knob says.
+    /// sibling).
     #[test]
     fn single_core_topology_never_steals() {
-        let cfg = FreelistConfig {
-            steal_batch: 8,
-            ..FreelistConfig::default()
-        };
-        let fl = Freelist::new(NumaTopology::flat(1), cfg, frames(16));
+        let fl = Freelist::new(NumaTopology::flat(1), FreelistConfig::default(), frames(16));
         for _ in 0..16 {
             let (_, o) = fl.alloc_traced(0).unwrap();
             assert!(

@@ -173,20 +173,22 @@ step "scale sweep smoke run (sweep scale --race --json, 1 -> 256 vcore fault sto
 # Double-run bit-identity at 1/16/256 vcores lives in determinism.rs
 # (scale_storm_*_is_race_clean_and_bit_identical); this step asserts the
 # scaling claim itself (DESIGN.md §17): the mmio fault path — spill-free
-# regions, sharded page table, batched freelist steal — is near-linear
-# (>= 8x at 64 vcores) while linuxsim's non-scalable page-cache tree
-# lock collapses (< 2x), and the fast path took zero shared-lock
-# acquisitions along the way.
+# regions over the lock-free page table — is near-linear (>= 8x at 64
+# vcores, >= 128x at 256, half of linear) while linuxsim's non-scalable
+# page-cache tree lock collapses (< 2x), and the fast path walked the
+# VMA tree's shared lock zero times along the way.
 cargo run --release -q -p aquila-bench --bin sweep -- scale --race \
     --json "$tmp/scale.json" > "$tmp/scale.txt"
 grep -q 'race detector: 0 findings' "$tmp/scale.txt" ||
     { echo "FAIL: race detector reported findings in scale sweep" >&2; exit 1; }
 "$prof" get "$tmp/scale.json" "scale/mmio/speedup_64v1" --ge 8.0 > /dev/null ||
     { echo "FAIL: mmio fault throughput not >= 8x at 64 vcores" >&2; exit 1; }
+"$prof" get "$tmp/scale.json" "scale/mmio/speedup_256v1" --ge 128 > /dev/null ||
+    { echo "FAIL: mmio fault throughput not >= 128x at 256 vcores" >&2; exit 1; }
 "$prof" get "$tmp/scale.json" "scale/linuxsim/speedup_64v1" --le 2.0 > /dev/null ||
     { echo "FAIL: linuxsim unexpectedly scales (collapse model lost its teeth)" >&2; exit 1; }
 "$prof" get "$tmp/scale.json" "scale/fastpath/shared_locks" --le 0 > /dev/null ||
-    { echo "FAIL: scaled fault fast path acquired a shared lock" >&2; exit 1; }
+    { echo "FAIL: scaled fault fast path walked the VMA tree's shared lock" >&2; exit 1; }
 
 step "aquila-prof flamegraph from a fig10 trace"
 cargo run --release -q -p aquila-bench --bin fig10 -- fit --tiny \

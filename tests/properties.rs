@@ -266,12 +266,10 @@ fn region_map_matches_vma_tree() {
     }
 }
 
-/// Turning on the whole scaled fault path — spill-free regions, a
-/// sharded page table, and freelist steal batching — does not change
-/// what the engine computes: the same random fault-heavy workload takes
-/// exactly the same faults (minor and major), evicts the same number of
-/// pages, and reads back the same values as the legacy tree + shared
-/// page table.
+/// Resolving faults through spill-free regions instead of the VMA tree
+/// does not change what the engine computes: the same random
+/// fault-heavy workload takes exactly the same faults (minor and major),
+/// evicts the same number of pages, and reads back the same values.
 #[test]
 fn spill_free_fault_counts_match_tree_path() {
     use aquila::{Advice, AquilaRuntime, DeviceKind, MmioPolicy, Prot};
@@ -334,33 +332,15 @@ fn spill_free_fault_counts_match_tree_path() {
 
     for case in 0..6u64 {
         let seed = 0x5CA1E + case * 0x9E37;
-        let legacy = run(seed, MmioPolicy::default());
-        let scaled = run(
+        let tree = run(seed, MmioPolicy::default());
+        let regions = run(
             seed,
             MmioPolicy {
                 spill_regions: true,
-                pt_shards: 4,
-                freelist_steal_batch: 8,
                 ..MmioPolicy::default()
             },
         );
-        assert_eq!(legacy, scaled, "fault behavior diverged (case {case})");
-        // Shard count 1 is the degenerate sharded configuration: one
-        // modeled shard must behave exactly like the legacy shared
-        // table (and a zero steal batch like the legacy freelist).
-        let degenerate = run(
-            seed,
-            MmioPolicy {
-                spill_regions: true,
-                pt_shards: 1,
-                freelist_steal_batch: 0,
-                ..MmioPolicy::default()
-            },
-        );
-        assert_eq!(
-            legacy, degenerate,
-            "single-shard config diverged from legacy (case {case})"
-        );
+        assert_eq!(tree, regions, "fault behavior diverged (case {case})");
     }
 }
 
