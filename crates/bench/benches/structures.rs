@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the core data structures (host-time performance
-//! of the implementation itself, complementing the virtual-time figure
-//! binaries).
+//! of the implementation itself, complementing the virtual-time figures
+//! of `aquila-bench`).
 //!
 //! Plain `std::time::Instant` timing loops — the build is fully offline,
 //! so there is no Criterion. Run with `cargo bench -p aquila-bench`.

@@ -1,7 +1,6 @@
-//! Shared command-line handling for the figure binaries.
+//! Shared command-line handling for `aquila-bench <figure>`.
 //!
-//! Every `fig*` binary accepts, in addition to its own positional
-//! selectors and flags:
+//! Every figure accepts, in addition to its own part names and flags:
 //!
 //! - `--json <path>` — write a schema-versioned machine-readable record
 //!   of the run (see [`crate::report::JsonReport`]);
@@ -19,7 +18,7 @@
 //!   without the flag.
 //!
 //! Either flag also installs the global metrics registry so subsystem
-//! counters/gauges land in the JSON record. Without them, the binaries
+//! counters/gauges land in the JSON record. Without them, the figures
 //! run exactly as before — the instrumentation sites are no-ops, and
 //! because observability never charges virtual cycles the simulated
 //! results are bit-identical either way.
@@ -28,11 +27,11 @@ use std::path::PathBuf;
 
 use crate::report::JsonReport;
 
-/// Parsed common arguments plus the binary-specific remainder.
+/// Parsed common arguments plus the figure-specific remainder.
 #[derive(Debug)]
 pub struct BenchArgs {
-    /// Arguments left after extracting the common flags (positional
-    /// selectors like `a`/`b`/`c` and flags like `--full`).
+    /// Arguments left after extracting the common flags (part names
+    /// like `a`/`b`/`c` and flags like `--full`).
     pub rest: Vec<String>,
     json: Option<PathBuf>,
     trace: Option<PathBuf>,
@@ -41,15 +40,9 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses `std::env::args`, extracting `--json`/`--trace` and
-    /// installing the tracer and metrics registry as requested.
-    pub fn parse() -> BenchArgs {
-        Self::from_vec(std::env::args().skip(1).collect())
-    }
-
-    /// Parses an explicit argument vector (testable core of [`parse`]).
-    ///
-    /// [`parse`]: BenchArgs::parse
+    /// Parses a figure's arguments, extracting the common flags and
+    /// installing the fault plan, tracer, race detector and metrics
+    /// registry as requested.
     pub fn from_vec(args: Vec<String>) -> BenchArgs {
         let mut rest = Vec::new();
         let mut json = None;
@@ -61,16 +54,16 @@ impl BenchArgs {
             match a.as_str() {
                 "--json" => match it.next() {
                     Some(p) => json = Some(PathBuf::from(p)),
-                    None => die("--json requires a path"),
+                    None => usage_error("--json requires a path"),
                 },
                 "--trace" => match it.next() {
                     Some(p) => trace = Some(PathBuf::from(p)),
-                    None => die("--trace requires a path"),
+                    None => usage_error("--trace requires a path"),
                 },
                 "--race" => race = true,
                 "--faults" => match it.next() {
                     Some(s) => faults = Some(s),
-                    None => die("--faults requires a spec (may be empty)"),
+                    None => usage_error("--faults requires a spec (may be empty)"),
                 },
                 _ => rest.push(a),
             }
@@ -84,7 +77,7 @@ impl BenchArgs {
         };
         if let Some(spec) = &parsed.faults {
             if let Err(e) = aquila_sim::fault::install_spec(spec) {
-                die(&format!("--faults: {e}"));
+                usage_error(&format!("--faults: {e}"));
             }
         }
         if parsed.trace.is_some() {
@@ -100,15 +93,6 @@ impl BenchArgs {
             aquila_sim::metrics::install(64);
         }
         parsed
-    }
-
-    /// The first positional argument, or `default`.
-    pub fn selector(&self, default: &str) -> String {
-        self.rest
-            .iter()
-            .find(|a| !a.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
     }
 
     /// Whether a boolean flag (e.g. `--full`) is present.
@@ -172,24 +156,10 @@ impl BenchArgs {
     }
 }
 
-fn die(msg: &str) -> ! {
+/// Prints `msg` to stderr and exits 2, the status for bad command lines.
+pub(crate) fn usage_error(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
-}
-
-/// The entire `main` of a part-registry binary: looks `bin` up in
-/// [`crate::figs::BINS`], builds its part registry, parses the process
-/// arguments, and runs. Every `src/bin/<name>.rs` is a one-line shim
-/// over this, so the CLI surface exists in exactly one place.
-///
-/// # Panics
-///
-/// Panics if `bin` is not registered — a build-time wiring error, since
-/// the only callers are the shims themselves.
-pub fn main_for(bin: &str) {
-    let b = crate::figs::find(bin)
-        .unwrap_or_else(|| panic!("binary {bin:?} not registered in figs::BINS"));
-    (b.build)().run(BenchArgs::parse(), b.default);
 }
 
 #[cfg(test)]
@@ -211,13 +181,5 @@ mod tests {
         assert_eq!(a.trace.as_deref(), Some(std::path::Path::new("t.json")));
         assert!(a.wants_json());
         assert!(a.has_flag("--full"));
-        assert_eq!(a.selector("all"), "c");
-    }
-
-    #[test]
-    fn selector_defaults_and_skips_flags() {
-        let a = BenchArgs::from_vec(argv(&["--full"]));
-        assert_eq!(a.selector("all"), "all");
-        assert!(!a.wants_json());
     }
 }

@@ -45,10 +45,9 @@ fn scales(args: &BenchArgs) -> Scale {
     }
 }
 
-/// Builds this binary's part registry (dispatched by `cli::main_for`).
+/// Builds this figure's part registry (dispatched by `figs::dispatch`).
 pub fn runner() -> Runner<'static> {
-    // `fit` is (a), `nofit` is (b); the historical `--fit`/`--nofit`
-    // flag spellings select the same parts.
+    // `fit` is (a), `nofit` is (b).
     Runner::new(
         "fig10",
         "Microbenchmark scalability, shared vs private files",

@@ -54,10 +54,9 @@ fn scale(full: bool) -> Scale {
     }
 }
 
-/// Builds this binary's part registry (dispatched by `cli::main_for`).
+/// Builds this figure's part registry (dispatched by `figs::dispatch`).
 pub fn runner() -> Runner<'static> {
-    // `fit` is (a), `nofit` is (b); the historical `--fit`/`--nofit`
-    // flag spellings select the same parts.
+    // `fit` is (a), `nofit` is (b).
     Runner::new("fig5", "YCSB-C on StoneDB across backends")
         .part("fit", "(a) dataset fits in the cache", |args, r| {
             run_case(&scale(args.has_flag("--full")), true, r)

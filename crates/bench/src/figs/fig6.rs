@@ -93,10 +93,10 @@ fn build_region(
     }
 }
 
-/// Builds this binary's part registry (dispatched by `cli::main_for`).
+/// Builds this figure's part registry (dispatched by `figs::dispatch`).
 pub fn runner() -> Runner<'static> {
-    // The historical `--large` flag spelling selects the `large` part.
     Runner::new("fig6", "Ligra BFS with the heap over storage")
+        .default_part("small")
         .part("small", "(a) DRAM cache = heap/8", |args, r| {
             run_case(args, false, r)
         })

@@ -16,7 +16,7 @@ use crate::{BenchArgs, Runner};
 use aquila_sim::{Breakdown, CoreDebts, FreeCtx};
 use aquila_ycsb::{run_ops, Distribution, Workload};
 
-/// Builds this binary's part registry (dispatched by `cli::main_for`).
+/// Builds this figure's part registry (dispatched by `figs::dispatch`).
 pub fn runner() -> Runner<'static> {
     Runner::new("fig7", "RocksDB per-get cycle breakdown").part(
         "breakdown",

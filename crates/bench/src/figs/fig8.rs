@@ -34,7 +34,7 @@ fn aquila_policy(args: &BenchArgs) -> MmioPolicy {
     }
 }
 
-/// Builds this binary's part registry (dispatched by `cli::main_for`).
+/// Builds this figure's part registry (dispatched by `figs::dispatch`).
 pub fn runner() -> Runner<'static> {
     Runner::new("fig8", "Page-fault overhead breakdowns")
         .part(

@@ -81,7 +81,7 @@ fn build(aquila: bool, dev: Dev, region_pages: u64, cache_frames: usize) -> Setu
     }
 }
 
-/// Builds this binary's part registry (dispatched by `cli::main_for`).
+/// Builds this figure's part registry (dispatched by `figs::dispatch`).
 pub fn runner() -> Runner<'static> {
     Runner::new("fig9", "Krill on kmmap vs Aquila, YCSB A-F")
         .part("nvme", "YCSB A-F over Optane NVMe", |args, r| {

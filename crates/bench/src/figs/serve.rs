@@ -334,7 +334,7 @@ fn part_diurnal(args: &BenchArgs, json: &mut JsonReport) {
     }
 }
 
-/// Builds this binary's part registry (dispatched by `cli::main_for`).
+/// Builds this figure's part registry (dispatched by `figs::dispatch`).
 pub fn runner() -> Runner<'static> {
     Runner::new(
         "serve",

@@ -27,59 +27,92 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use crate::cli::usage_error;
 use crate::micro::{micro_aquila_policy, micro_linux, prepare_micro, run_micro};
 use crate::report::{banner, JsonReport};
 use crate::{BenchArgs, Dev, Runner};
 use aquila::{Advice, AquilaRuntime, DeviceKind, MmioPolicy, Prot, WritePolicy};
 use aquila_devices::NvmeDevice;
 use aquila_linuxsim::{KernelDevice, LinuxConfig, LinuxMmap};
-use aquila_sim::{CoreDebts, Cycles, Engine, LatencyHist, SimCtx, Step};
+use aquila_sim::{CoreDebts, Cycles, Engine, LatencyHist, RunReport, SimCtx, Step};
 
 const WORKERS: usize = 4;
 const FILE_PAGES: u64 = 8192;
 const CACHE_FRAMES: usize = 1024;
 
-struct Cell {
-    label: String,
-    mean_fault_cycles: f64,
-    faults: u64,
-    makespan: Cycles,
-    writebacks: u64,
+/// The engine a store storm runs against.
+enum Target {
+    /// Aquila's mmio path under this policy, with an evictor thread on
+    /// each of its `evictor_cores`.
+    Mmio(MmioPolicy),
+    /// linuxsim's kernel mmap path: inline reclaim, no evictor thread.
+    Linux,
 }
 
-/// Runs one sweep cell: four workers (plus any configured evictor cores)
-/// over a fresh NVMe-backed stack under `policy`.
-fn run_cell(label: &str, policy: MmioPolicy, ops_per_thread: u64) -> Cell {
-    let cores = WORKERS + policy.evictor_cores.len();
-    let evictor_cores = policy.evictor_cores.clone();
+/// Runs the store storm: four workers issue `ops_per_thread` random
+/// 64-bit stores each, over disjoint slices of a fresh NVMe-backed
+/// mapping 8x the DRAM cache. Returns the histogram of every fault's
+/// service latency (the cycles the faulting worker lost to the store
+/// that faulted) and the engine's report.
+fn run_storm(target: &Target, ops_per_thread: u64) -> (LatencyHist, RunReport) {
+    let evictor_cores = match target {
+        Target::Mmio(policy) => policy.evictor_cores.clone(),
+        Target::Linux => Vec::new(),
+    };
+    let cores = WORKERS + evictor_cores.len();
     let mut engine = Engine::new(cores, 0x5EE9);
     let mut ctx = aquila_sim::FreeCtx::new(0x5EE9);
-    let rt = AquilaRuntime::build_with_policy(
-        &mut ctx,
-        DeviceKind::NvmeSpdk,
-        FILE_PAGES + 4096,
-        CACHE_FRAMES,
-        cores,
-        engine.debts(),
-        policy,
-    );
-    let f = rt.open("/sweep", FILE_PAGES).expect("open");
-    let addr = rt
-        .aquila
-        .mmap(&mut ctx, f, 0, FILE_PAGES, Prot::RW)
-        .expect("mmap");
-    rt.aquila
-        .madvise(&mut ctx, addr, FILE_PAGES, Advice::Random)
-        .expect("madvise");
+    // `store(ctx, page)` writes the page number 16 bytes into `page`.
+    type Store = Rc<dyn Fn(&mut dyn SimCtx, u64)>;
+    let (store, rt): (Store, Option<AquilaRuntime>) = match target {
+        Target::Mmio(policy) => {
+            let rt = AquilaRuntime::build_with_policy(
+                &mut ctx,
+                DeviceKind::NvmeSpdk,
+                FILE_PAGES + 4096,
+                CACHE_FRAMES,
+                cores,
+                engine.debts(),
+                policy.clone(),
+            );
+            let f = rt.open("/sweep", FILE_PAGES).expect("open");
+            let addr = rt
+                .aquila
+                .mmap(&mut ctx, f, 0, FILE_PAGES, Prot::RW)
+                .expect("mmap");
+            rt.aquila
+                .madvise(&mut ctx, addr, FILE_PAGES, Advice::Random)
+                .expect("madvise");
+            let aquila = Arc::clone(&rt.aquila);
+            let store = move |ctx: &mut dyn SimCtx, page: u64| {
+                aquila
+                    .write(ctx, addr.add(page * 4096 + 16), &page.to_le_bytes())
+                    .expect("store")
+            };
+            (Rc::new(store), Some(rt))
+        }
+        Target::Linux => {
+            let kdev = KernelDevice::Nvme(Arc::new(NvmeDevice::optane(FILE_PAGES + 4096)));
+            let mut cfg = LinuxConfig::linux(WORKERS, CACHE_FRAMES);
+            cfg.readahead_pages = 1; // random access pattern, no window
+            let lm = LinuxMmap::new(cfg, kdev, engine.debts());
+            let f = lm.open_file(FILE_PAGES).expect("open");
+            let base = lm.mmap(&mut ctx, f, 0, FILE_PAGES, true).expect("mmap");
+            let store = move |ctx: &mut dyn SimCtx, page: u64| {
+                lm.write(ctx, ((base + page) << 12) + 16, &page.to_le_bytes())
+                    .expect("store")
+            };
+            (Rc::new(store), None)
+        }
+    };
 
     let stop = Arc::new(AtomicBool::new(false));
     let live = Arc::new(AtomicUsize::new(WORKERS));
-    // Per-worker (fault-path cycles, faulting ops).
-    let tallies: Rc<RefCell<Vec<(u64, u64)>>> = Rc::new(RefCell::new(vec![(0, 0); WORKERS]));
+    let hist = Rc::new(RefCell::new(LatencyHist::new()));
     let chunk = FILE_PAGES / WORKERS as u64;
     for t in 0..WORKERS {
-        let aquila = Arc::clone(&rt.aquila);
-        let tallies = Rc::clone(&tallies);
+        let store = Rc::clone(&store);
+        let hist = Rc::clone(&hist);
         let stop = Arc::clone(&stop);
         let live = Arc::clone(&live);
         let lo = t as u64 * chunk;
@@ -92,13 +125,9 @@ fn run_cell(label: &str, policy: MmioPolicy, ops_per_thread: u64) -> Cell {
                 let page = lo + ctx.rng().below(chunk);
                 let pf0 = ctx.counters().page_faults;
                 let t0 = ctx.now();
-                aquila
-                    .write(ctx, addr.add(page * 4096 + 16), &page.to_le_bytes())
-                    .expect("store");
+                store(ctx, page);
                 if ctx.counters().page_faults > pf0 {
-                    let mut tl = tallies.borrow_mut();
-                    tl[t].0 += (ctx.now() - t0).get();
-                    tl[t].1 += 1;
+                    hist.borrow_mut().record(ctx.now() - t0);
                 }
                 done += 1;
                 if done >= ops_per_thread {
@@ -112,21 +141,33 @@ fn run_cell(label: &str, policy: MmioPolicy, ops_per_thread: u64) -> Cell {
             }),
         );
     }
-    for &core in &evictor_cores {
-        engine.spawn(
-            core,
-            rt.aquila.evictor(Arc::clone(&stop), Cycles::from_micros(2)),
-        );
+    if let Some(rt) = &rt {
+        for &core in &evictor_cores {
+            engine.spawn(
+                core,
+                rt.aquila.evictor(Arc::clone(&stop), Cycles::from_micros(2)),
+            );
+        }
     }
     let report = engine.run();
-    let (cycles, faults) = tallies
-        .borrow()
-        .iter()
-        .fold((0u64, 0u64), |(c, n), &(tc, tn)| (c + tc, n + tn));
+    (hist.take(), report)
+}
+
+/// One `qd`/`watermark` row: a store storm under an mmio policy.
+struct Cell {
+    label: String,
+    mean_fault_cycles: f64,
+    faults: u64,
+    makespan: Cycles,
+    writebacks: u64,
+}
+
+fn run_cell(label: &str, policy: MmioPolicy, ops_per_thread: u64) -> Cell {
+    let (hist, report) = run_storm(&Target::Mmio(policy), ops_per_thread);
     Cell {
         label: label.to_string(),
-        mean_fault_cycles: cycles as f64 / faults.max(1) as f64,
-        faults,
+        mean_fault_cycles: hist.sum() as f64 / hist.count().max(1) as f64,
+        faults: hist.count(),
         makespan: report.makespan,
         writebacks: report.counters.writebacks,
     }
@@ -360,157 +401,24 @@ fn part_tlb(_args: &BenchArgs, json: &mut JsonReport) {
 // Part `latency`: cycle-exact fault-service latency distributions.
 // ---------------------------------------------------------------------
 
-/// Runs the random-store workload under `policy`, recording each fault's
-/// service latency (cycles the faulting worker lost to the store that
-/// faulted) in per-worker histograms merged in worker order.
-fn run_latency_mmio(policy: MmioPolicy, ops_per_thread: u64) -> LatencyHist {
-    let cores = WORKERS + policy.evictor_cores.len();
-    let evictor_cores = policy.evictor_cores.clone();
-    let mut engine = Engine::new(cores, 0x5EE9);
-    let mut ctx = aquila_sim::FreeCtx::new(0x5EE9);
-    let rt = AquilaRuntime::build_with_policy(
-        &mut ctx,
-        DeviceKind::NvmeSpdk,
-        FILE_PAGES + 4096,
-        CACHE_FRAMES,
-        cores,
-        engine.debts(),
-        policy,
-    );
-    let f = rt.open("/sweep-lat", FILE_PAGES).expect("open");
-    let addr = rt
-        .aquila
-        .mmap(&mut ctx, f, 0, FILE_PAGES, Prot::RW)
-        .expect("mmap");
-    rt.aquila
-        .madvise(&mut ctx, addr, FILE_PAGES, Advice::Random)
-        .expect("madvise");
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let live = Arc::new(AtomicUsize::new(WORKERS));
-    let hists: Rc<RefCell<Vec<LatencyHist>>> = Rc::new(RefCell::new(
-        (0..WORKERS).map(|_| LatencyHist::new()).collect(),
-    ));
-    let chunk = FILE_PAGES / WORKERS as u64;
-    for t in 0..WORKERS {
-        let aquila = Arc::clone(&rt.aquila);
-        let hists = Rc::clone(&hists);
-        let stop = Arc::clone(&stop);
-        let live = Arc::clone(&live);
-        let lo = t as u64 * chunk;
-        let mut done = 0u64;
-        engine.spawn(
-            t,
-            Box::new(move |ctx| {
-                let page = lo + ctx.rng().below(chunk);
-                let pf0 = ctx.counters().page_faults;
-                let t0 = ctx.now();
-                aquila
-                    .write(ctx, addr.add(page * 4096 + 16), &page.to_le_bytes())
-                    .expect("store");
-                if ctx.counters().page_faults > pf0 {
-                    hists.borrow_mut()[t].record(ctx.now() - t0);
-                }
-                done += 1;
-                if done >= ops_per_thread {
-                    if live.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        stop.store(true, Ordering::Release);
-                    }
-                    Step::Done
-                } else {
-                    Step::Yield
-                }
-            }),
-        );
-    }
-    for &core in &evictor_cores {
-        engine.spawn(
-            core,
-            rt.aquila.evictor(Arc::clone(&stop), Cycles::from_micros(2)),
-        );
-    }
-    engine.run();
-    let mut merged = LatencyHist::new();
-    for h in hists.borrow().iter() {
-        merged.merge(h);
-    }
-    merged
-}
-
-/// The linuxsim analog: same stores, same footprint, kernel mmap path
-/// (inline reclaim, no evictor thread).
-fn run_latency_linux(ops_per_thread: u64) -> LatencyHist {
-    let mut engine = Engine::new(WORKERS, 0x5EE9);
-    let mut ctx = aquila_sim::FreeCtx::new(0x5EE9);
-    let kdev = KernelDevice::Nvme(Arc::new(NvmeDevice::optane(FILE_PAGES + 4096)));
-    let mut cfg = LinuxConfig::linux(WORKERS, CACHE_FRAMES);
-    cfg.readahead_pages = 1; // random access pattern, no window
-    let lm = Arc::new(LinuxMmap::new(cfg, kdev, engine.debts()));
-    let f = lm.open_file(FILE_PAGES).expect("open");
-    let base = lm.mmap(&mut ctx, f, 0, FILE_PAGES, true).expect("mmap");
-
-    let hists: Rc<RefCell<Vec<LatencyHist>>> = Rc::new(RefCell::new(
-        (0..WORKERS).map(|_| LatencyHist::new()).collect(),
-    ));
-    let chunk = FILE_PAGES / WORKERS as u64;
-    for t in 0..WORKERS {
-        let lm = Arc::clone(&lm);
-        let hists = Rc::clone(&hists);
-        let lo = t as u64 * chunk;
-        let mut done = 0u64;
-        engine.spawn(
-            t,
-            Box::new(move |ctx| {
-                let page = lo + ctx.rng().below(chunk);
-                let pf0 = ctx.counters().page_faults;
-                let t0 = ctx.now();
-                lm.write(ctx, ((base + page) << 12) + 16, &page.to_le_bytes())
-                    .expect("store");
-                if ctx.counters().page_faults > pf0 {
-                    hists.borrow_mut()[t].record(ctx.now() - t0);
-                }
-                done += 1;
-                if done >= ops_per_thread {
-                    Step::Done
-                } else {
-                    Step::Yield
-                }
-            }),
-        );
-    }
-    engine.run();
-    let mut merged = LatencyHist::new();
-    for h in hists.borrow().iter() {
-        merged.merge(h);
-    }
-    merged
-}
-
 fn part_latency(args: &BenchArgs, json: &mut JsonReport) {
     let ops: u64 = if args.has_flag("--full") { 4000 } else { 1500 };
     banner(
         "Fault-service latency: cycle-exact distributions per backend",
         "expected: mmio beats linuxsim at p50 (lean fault path); sync pays a heavy eviction tail at p99 that the async qd4 pipeline trims",
     );
-    let cells: [(&str, LatencyHist); 4] = [
-        ("linuxsim", run_latency_linux(ops)),
-        ("mmio-sync", run_latency_mmio(MmioPolicy::default(), ops)),
-        (
-            "mmio-async-qd4",
-            run_latency_mmio(async_policy(4, 0, 0), ops),
-        ),
-        (
-            "mmio-huge",
-            run_latency_mmio(
-                MmioPolicy {
-                    huge_pages: true,
-                    promote_threshold: 64,
-                    ..MmioPolicy::default()
-                },
-                ops,
-            ),
-        ),
-    ];
+    let huge = MmioPolicy {
+        huge_pages: true,
+        promote_threshold: 64,
+        ..MmioPolicy::default()
+    };
+    let cells = [
+        ("linuxsim", Target::Linux),
+        ("mmio-sync", Target::Mmio(MmioPolicy::default())),
+        ("mmio-async-qd4", Target::Mmio(async_policy(4, 0, 0))),
+        ("mmio-huge", Target::Mmio(huge)),
+    ]
+    .map(|(label, target)| (label, run_storm(&target, ops).0));
     println!(
         "{:<16} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "config", "faults", "p50", "p90", "p99", "p99.9", "max"
@@ -612,23 +520,23 @@ fn shared_lock_count() -> Option<u64> {
 }
 
 fn part_scale(args: &BenchArgs, json: &mut JsonReport) {
+    // `--cores=N` restricts the sweep to one vcore count (the
+    // determinism suite runs single cells double-run bit-identical).
+    let only = args
+        .rest
+        .iter()
+        .find_map(|a| a.strip_prefix("--cores="))
+        .map(|v| match v.parse() {
+            Ok(n) if SCALE_CORES.contains(&n) => n,
+            _ => usage_error(&format!(
+                "sweep scale: --cores={v} is not a swept vcore count\nusage: aquila-bench sweep scale [--cores=1|4|16|64|256]"
+            )),
+        });
     banner(
         "Scale sweep: minor-fault throughput, 1 -> 256 vcores, disjoint regions of one shared file",
         "expected: mmio (spill-free regions, lock-free page table) near-linear; linuxsim flatlines on its page-cache tree lock",
     );
-    // `--cores=N` restricts the sweep to one vcore count (the
-    // determinism suite runs single cells double-run bit-identical).
-    let only: Option<usize> = args
-        .rest
-        .iter()
-        .find_map(|a| a.strip_prefix("--cores="))
-        .and_then(|v| v.parse().ok());
-    let swept: Vec<usize> = SCALE_CORES
-        .iter()
-        .copied()
-        .filter(|&c| only.is_none_or(|o| o == c))
-        .collect();
-    assert!(!swept.is_empty(), "--cores must name a swept vcore count");
+    let swept = only.map_or(SCALE_CORES.to_vec(), |n| vec![n]);
     let shared_before = shared_lock_count();
     println!(
         "{:<10} {:>6} {:>10} {:>14} {:>14}",
@@ -678,7 +586,7 @@ fn part_scale(args: &BenchArgs, json: &mut JsonReport) {
     }
 }
 
-/// Builds this binary's part registry (dispatched by `cli::main_for`).
+/// Builds this figure's part registry (dispatched by `figs::dispatch`).
 pub fn runner() -> Runner<'static> {
     Runner::new(
         "sweep",

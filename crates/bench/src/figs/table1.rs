@@ -3,7 +3,7 @@
 use crate::{BenchArgs, JsonReport, Runner};
 use aquila_ycsb::Workload;
 
-/// Builds this binary's part registry (dispatched by `cli::main_for`).
+/// Builds this figure's part registry (dispatched by `figs::dispatch`).
 pub fn runner() -> Runner<'static> {
     Runner::new("table1", "Standard YCSB workloads").part(
         "workloads",

@@ -1,4 +1,4 @@
-//! Table printing and result records for the figure binaries.
+//! Table printing and result records for the `aquila-bench` figures.
 
 use aquila_sim::{Breakdown, CostCat, Counters, Cycles, LatencyHist, MetricKind};
 
@@ -104,7 +104,7 @@ pub fn print_breakdown_per_op(label: &str, b: &Breakdown, ops: u64) {
 /// v4: `tenants` array added — one entry per tenant of a multi-tenant
 /// serving run (declared quota/weight/SLO, request counts, sheds, the
 /// per-tenant latency percentiles, and whether the p99 met the SLO);
-/// empty for single-tenant binaries.
+/// empty for single-tenant figures.
 /// v5: `integrity` object added and guaranteed present — end-to-end
 /// data-integrity accounting of a mirrored run (faults injected,
 /// corruptions detected/repaired/unrepairable, and the `undetected`

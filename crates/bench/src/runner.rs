@@ -1,9 +1,8 @@
-//! Part registry shared by the figure binaries.
+//! Part registry shared by the figures.
 //!
-//! Every `fig*` binary is a set of named *parts* (`a`/`b`/`c`,
-//! `fit`/`nofit`, per-device cases, ...) behind the same CLI shape. The
-//! binaries used to hand-roll a `match args.selector(..)` dispatch each;
-//! a [`Runner`] replaces that with registration:
+//! Every figure `aquila-bench` regenerates is a set of named *parts*
+//! (`a`/`b`/`c`, `fit`/`nofit`, per-device cases, ...) behind the same
+//! CLI shape, registered on a [`Runner`]:
 //!
 //! ```no_run
 //! use aquila_bench::{BenchArgs, Runner};
@@ -12,24 +11,23 @@
 //!     .part("a", "dataset fits in memory", |_args, report| {
 //!         report.add_scalar("8a/demo", 1.0);
 //!     })
-//!     .run(BenchArgs::parse(), "all");
+//!     .run(BenchArgs::from_vec(vec!["a".into()]));
 //! ```
 //!
-//! Selection rules, shared by every binary:
+//! Selection rules, shared by every figure:
 //!
-//! - positional selectors name parts (`fig8 a b`); `all` selects every
-//!   part; no selector runs the `default` set passed to [`Runner::run`];
-//! - a `--<part>` flag also selects that part, so the historical
-//!   `fig5 --nofit` / `fig10 --fit` spellings keep working;
+//! - positional arguments name parts (`fig8 a b`); `all` selects every
+//!   part; no part named runs the figure's default (`all` unless set
+//!   with [`Runner::default_part`]);
 //! - `--list` prints the registered parts and exits without running;
-//! - an unknown selector prints usage and exits 2.
+//! - an unknown part prints usage and exits 2.
 //!
 //! Parts run in registration order regardless of selector order, each at
 //! most once, all against the same [`JsonReport`]. The record carries the
-//! binary's title, or the part's description when exactly one part runs
+//! figure's title, or the part's description when exactly one part runs
 //! (so `sweep scale --json` is titled after the scale sweep). The runner
 //! calls [`BenchArgs::finish`] at the end so artifacts and the race
-//! summary behave exactly as before.
+//! summary are written the same way for every figure.
 
 use crate::cli::BenchArgs;
 use crate::report::JsonReport;
@@ -42,22 +40,37 @@ struct Part<'a> {
     body: PartFn<'a>,
 }
 
-/// A figure binary as a registry of named parts.
+/// A figure as a registry of named parts.
 pub struct Runner<'a> {
-    bin: &'static str,
+    figure: &'static str,
+    default: &'static str,
     report: JsonReport,
     parts: Vec<Part<'a>>,
 }
 
 impl<'a> Runner<'a> {
-    /// Creates a runner for binary `bin`; `title` seeds the JSON record
-    /// when more than one part runs.
-    pub fn new(bin: &'static str, title: &str) -> Runner<'a> {
+    /// Creates a runner for `figure` (its CLI name and the record's
+    /// `figure` field); `title` seeds the JSON record when more than one
+    /// part runs.
+    pub fn new(figure: &'static str, title: &str) -> Runner<'a> {
         Runner {
-            bin,
-            report: JsonReport::new(bin, title),
+            figure,
+            default: "all",
+            report: JsonReport::new(figure, title),
             parts: Vec::new(),
         }
+    }
+
+    /// The figure's CLI name.
+    pub fn figure(&self) -> &'static str {
+        self.figure
+    }
+
+    /// Sets the part run when the command line names none (default
+    /// `all`).
+    pub fn default_part(mut self, name: &'static str) -> Runner<'a> {
+        self.default = name;
+        self
     }
 
     /// Registers a part. `name` is the CLI selector; `what` the one-line
@@ -80,51 +93,45 @@ impl<'a> Runner<'a> {
         self
     }
 
+    /// The `--list` text: every part with its description.
+    pub fn listing(&self) -> String {
+        let mut out = format!("parts of {}:\n", self.figure);
+        for p in &self.parts {
+            out += &format!("  {:<8} {}\n", p.name, p.what);
+        }
+        out + &format!("  {:<8} every part above\n", "all")
+    }
+
     /// Resolves selection, runs the chosen parts in registration order,
-    /// and writes the requested artifacts. `default` is the selector
-    /// used when the command line names no part (usually `"all"`).
-    pub fn run(mut self, args: BenchArgs, default: &str) {
+    /// and writes the requested artifacts.
+    pub fn run(mut self, args: BenchArgs) {
         if args.has_flag("--list") {
-            println!("parts of {}:", self.bin);
-            for p in &self.parts {
-                println!("  {:<8} {}", p.name, p.what);
-            }
-            println!("  {:<8} every part above", "all");
+            print!("{}", self.listing());
             return;
         }
-        let mut selected: Vec<String> = args
+        let mut selected: Vec<&str> = args
             .rest
             .iter()
+            .map(String::as_str)
             .filter(|a| !a.starts_with("--"))
-            .cloned()
             .collect();
-        // `--fit`-style flags select the part of the same name.
-        for p in &self.parts {
-            if args.has_flag(&format!("--{}", p.name)) {
-                selected.push(p.name.to_string());
-            }
-        }
         if selected.is_empty() {
-            selected.push(default.to_string());
+            selected.push(self.default);
         }
-        let all = selected.iter().any(|s| s == "all");
-        for s in &selected {
-            if s != "all" && !self.parts.iter().any(|p| p.name == s) {
-                eprintln!(
-                    "error: {}: unknown part {s:?}\nusage: {} [{}|all] [--list] [--full] [--json <path>] [--trace <path>] [--race] [--faults <spec>]",
-                    self.bin,
-                    self.bin,
-                    self.parts
-                        .iter()
-                        .map(|p| p.name)
-                        .collect::<Vec<_>>()
-                        .join("|"),
-                );
-                std::process::exit(2);
-            }
+        if let Some(s) = selected
+            .iter()
+            .find(|&&s| s != "all" && !self.parts.iter().any(|p| p.name == s))
+        {
+            let parts: Vec<&str> = self.parts.iter().map(|p| p.name).collect();
+            crate::cli::usage_error(&format!(
+                "{}: unknown part {s:?}\nusage: aquila-bench {} [{}|all] [--list] [--full] [--json <path>] [--trace <path>] [--race] [--faults <spec>]",
+                self.figure,
+                self.figure,
+                parts.join("|"),
+            ));
         }
-        self.parts
-            .retain(|p| all || selected.iter().any(|s| s == p.name));
+        let all = selected.contains(&"all");
+        self.parts.retain(|p| all || selected.contains(&p.name));
         if let [only] = &self.parts[..] {
             self.report.set_title(only.what);
         }
@@ -152,28 +159,35 @@ mod tests {
     #[test]
     fn default_selector_and_registration_order() {
         let ran = std::cell::RefCell::new(Vec::new());
-        runner(&ran).run(argv(&[]), "all");
+        runner(&ran).run(argv(&[]));
         assert_eq!(*ran.borrow(), vec!["a", "b"]);
     }
 
     #[test]
     fn positional_selector_picks_one_part() {
         let ran = std::cell::RefCell::new(Vec::new());
-        runner(&ran).run(argv(&["b"]), "all");
+        runner(&ran).run(argv(&["b"]));
         assert_eq!(*ran.borrow(), vec!["b"]);
     }
 
     #[test]
-    fn flag_selects_part_and_each_runs_once() {
+    fn each_part_runs_once_in_registration_order() {
         let ran = std::cell::RefCell::new(Vec::new());
-        runner(&ran).run(argv(&["b", "--b", "--a"]), "all");
+        runner(&ran).run(argv(&["b", "a", "b"]));
         assert_eq!(*ran.borrow(), vec!["a", "b"]);
+    }
+
+    #[test]
+    fn part_named_flag_selects_nothing() {
+        let ran = std::cell::RefCell::new(Vec::new());
+        runner(&ran).default_part("a").run(argv(&["--b"]));
+        assert_eq!(*ran.borrow(), vec!["a"]);
     }
 
     #[test]
     fn narrow_default_runs_only_that_part() {
         let ran = std::cell::RefCell::new(Vec::new());
-        runner(&ran).run(argv(&["--full"]), "a");
+        runner(&ran).default_part("a").run(argv(&["--full"]));
         assert_eq!(*ran.borrow(), vec!["a"]);
     }
 
@@ -189,21 +203,21 @@ mod tests {
                     .map(String::from);
                 *seen.borrow_mut() = t.unwrap_or_default();
             };
-            Runner::new("figX", "binary title")
+            Runner::new("figX", "figure title")
                 .part("a", "first part", record)
                 .part("b", "second part", record)
-                .run(argv(sel), "all");
+                .run(argv(sel));
             seen.into_inner()
         };
         assert_eq!(title(&["b"]), "second part");
-        assert_eq!(title(&["a", "b"]), "binary title");
-        assert_eq!(title(&["all"]), "binary title");
+        assert_eq!(title(&["a", "b"]), "figure title");
+        assert_eq!(title(&["all"]), "figure title");
     }
 
     #[test]
     fn list_runs_nothing() {
         let ran = std::cell::RefCell::new(Vec::new());
-        runner(&ran).run(argv(&["--list", "a"]), "all");
+        runner(&ran).run(argv(&["--list", "a"]));
         assert!(ran.borrow().is_empty());
     }
 }

@@ -1,5 +1,5 @@
-//! Determinism regression: the same figure binary run twice must be a
-//! bit-identical pure function of its arguments — stdout, the JSON
+//! Determinism regression: the same `aquila-bench` figure run twice must
+//! be a bit-identical pure function of its arguments — stdout, the JSON
 //! record, and the Chrome trace all byte-for-byte equal. This is the
 //! end-to-end guard behind the static lint (`aquila-analysis`) and the
 //! runtime race detector (`aquila_sim::race`): if someone reintroduces
@@ -7,23 +7,25 @@
 //! the artifacts diverges here.
 
 use std::fs;
-use std::path::PathBuf;
 use std::process::{Command, Output};
 
-fn run_bin(exe: &str, part: &str, tag: &str) -> (Output, Vec<u8>, Vec<u8>) {
-    run_bin_with(exe, part, tag, &[])
+const EXE: &str = env!("CARGO_BIN_EXE_aquila-bench");
+
+fn run_bin(figure: &str, part: &str, tag: &str) -> (Output, Vec<u8>, Vec<u8>) {
+    run_bin_with(figure, part, tag, &[])
 }
 
-fn run_bin_with(exe: &str, part: &str, tag: &str, extra: &[&str]) -> (Output, Vec<u8>, Vec<u8>) {
+fn run_bin_with(figure: &str, part: &str, tag: &str, extra: &[&str]) -> (Output, Vec<u8>, Vec<u8>) {
     let dir = std::env::temp_dir().join(format!("aquila-determinism-{tag}-{}", std::process::id()));
     fs::create_dir_all(&dir).expect("mkdir");
     let json = dir.join("r.json");
     let trace = dir.join("t.trace.json");
     // Relative artifact paths, run from inside the temp dir: the binary
     // echoes the paths it wrote, and stdout must match across runs.
-    let out = Command::new(exe)
+    let out = Command::new(EXE)
         .current_dir(&dir)
         .args([
+            figure,
             part,
             "--race",
             "--json",
@@ -36,7 +38,7 @@ fn run_bin_with(exe: &str, part: &str, tag: &str, extra: &[&str]) -> (Output, Ve
         .expect("binary runs");
     assert!(
         out.status.success(),
-        "{exe} {part} failed (status {:?}):\n{}",
+        "{figure} {part} failed (status {:?}):\n{}",
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
@@ -46,13 +48,13 @@ fn run_bin_with(exe: &str, part: &str, tag: &str, extra: &[&str]) -> (Output, Ve
     (out, json_bytes, trace_bytes)
 }
 
-fn assert_double_run_identical(exe: &str, part: &str, tag: &str) -> String {
-    assert_double_run_identical_with(exe, part, tag, &[])
+fn assert_double_run_identical(figure: &str, part: &str, tag: &str) -> String {
+    assert_double_run_identical_with(figure, part, tag, &[])
 }
 
-fn assert_double_run_identical_with(exe: &str, part: &str, tag: &str, extra: &[&str]) -> String {
-    let (out1, json1, trace1) = run_bin_with(exe, part, &format!("{tag}-one"), extra);
-    let (out2, json2, trace2) = run_bin_with(exe, part, &format!("{tag}-two"), extra);
+fn assert_double_run_identical_with(figure: &str, part: &str, tag: &str, extra: &[&str]) -> String {
+    let (out1, json1, trace1) = run_bin_with(figure, part, &format!("{tag}-one"), extra);
+    let (out2, json2, trace2) = run_bin_with(figure, part, &format!("{tag}-two"), extra);
 
     assert_eq!(
         out1.stdout, out2.stdout,
@@ -76,7 +78,7 @@ fn assert_double_run_identical_with(exe: &str, part: &str, tag: &str, extra: &[&
 
 #[test]
 fn fig8_is_bit_identical_across_runs() {
-    assert_double_run_identical(env!("CARGO_BIN_EXE_fig8"), "a", "fig8");
+    assert_double_run_identical("fig8", "a", "fig8");
 }
 
 /// The asynchronous write-behind pipeline — evictor thread, watermark
@@ -84,7 +86,7 @@ fn fig8_is_bit_identical_across_runs() {
 /// pure function of its arguments, with the race detector clean.
 #[test]
 fn sweep_async_pipeline_is_bit_identical_across_runs() {
-    let stdout = assert_double_run_identical(env!("CARGO_BIN_EXE_sweep"), "qd", "sweep");
+    let stdout = assert_double_run_identical("sweep", "qd", "sweep");
     assert!(
         stdout.contains("async-qd4"),
         "sweep must exercise the async pipeline:\n{stdout}"
@@ -96,7 +98,7 @@ fn sweep_async_pipeline_is_bit_identical_across_runs() {
 /// pure function of its arguments, with the race detector clean.
 #[test]
 fn sweep_tlb_part_is_bit_identical_across_runs() {
-    let stdout = assert_double_run_identical(env!("CARGO_BIN_EXE_sweep"), "tlb", "tlb");
+    let stdout = assert_double_run_identical("sweep", "tlb", "tlb");
     assert!(
         stdout.contains("2m"),
         "tlb sweep must run the promoted cell:\n{stdout}"
@@ -109,12 +111,8 @@ fn sweep_tlb_part_is_bit_identical_across_runs() {
 /// deterministically.
 #[test]
 fn fig10_with_huge_pages_is_race_clean_and_deterministic() {
-    let stdout = assert_double_run_identical_with(
-        env!("CARGO_BIN_EXE_fig10"),
-        "fit",
-        "fig10-huge",
-        &["--huge", "--tiny"],
-    );
+    let stdout =
+        assert_double_run_identical_with("fig10", "fit", "fig10-huge", &["--huge", "--tiny"]);
     assert!(
         stdout.contains("+2M"),
         "fig10 --huge must label the promoted engine:\n{stdout}"
@@ -127,7 +125,7 @@ fn fig10_with_huge_pages_is_race_clean_and_deterministic() {
 /// bit-identical pure function of its arguments, race-clean.
 #[test]
 fn sweep_latency_part_is_bit_identical_across_runs() {
-    let stdout = assert_double_run_identical(env!("CARGO_BIN_EXE_sweep"), "latency", "latency");
+    let stdout = assert_double_run_identical("sweep", "latency", "latency");
     for cfg in ["linuxsim", "mmio-sync", "mmio-async-qd4", "mmio-huge"] {
         assert!(
             stdout.contains(cfg),
@@ -143,7 +141,7 @@ fn sweep_latency_part_is_bit_identical_across_runs() {
 /// schema-v4 `tenants` section carries the QoS verdicts.
 #[test]
 fn serve_qos_part_is_bit_identical_across_runs() {
-    let stdout = assert_double_run_identical(env!("CARGO_BIN_EXE_serve"), "qos", "serve");
+    let stdout = assert_double_run_identical("serve", "qos", "serve");
     for tag in ["[qos_on]", "[qos_off]", "protected", "zipf-hot"] {
         assert!(stdout.contains(tag), "serve must report {tag}:\n{stdout}");
     }
@@ -157,12 +155,12 @@ fn serve_qos_part_is_bit_identical_across_runs() {
 /// and no corrupted payload was acked (`undetected == 0`).
 #[test]
 fn serve_integrity_part_is_bit_identical_and_repairs_everything() {
-    let stdout = assert_double_run_identical(env!("CARGO_BIN_EXE_serve"), "integrity", "integrity");
+    let stdout = assert_double_run_identical("serve", "integrity", "integrity");
     assert!(
         stdout.contains("faults injected"),
         "integrity part must report its storm:\n{stdout}"
     );
-    let (_, json, _) = run_bin(env!("CARGO_BIN_EXE_serve"), "integrity", "integrity-json");
+    let (_, json, _) = run_bin("serve", "integrity", "integrity-json");
     let json = String::from_utf8_lossy(&json);
     assert!(
         json.contains("\"mirrored\": true"),
@@ -186,7 +184,7 @@ fn serve_integrity_part_is_bit_identical_and_repairs_everything() {
 /// locks; the page table is modelled lock-free).
 fn assert_scale_cell_clean(cores: &str) {
     let stdout = assert_double_run_identical_with(
-        env!("CARGO_BIN_EXE_sweep"),
+        "sweep",
         "scale",
         &format!("scale-c{cores}"),
         &[&format!("--cores={cores}")],
@@ -199,7 +197,7 @@ fn assert_scale_cell_clean(cores: &str) {
         "fault fast path touched a shared lock at {cores} vcores:\n{stdout}"
     );
     let (_, json, _) = run_bin_with(
-        env!("CARGO_BIN_EXE_sweep"),
+        "sweep",
         "scale",
         &format!("scale-json-c{cores}"),
         &[&format!("--cores={cores}")],
@@ -238,8 +236,8 @@ fn scale_storm_256_vcores_is_race_clean_and_bit_identical() {
 /// report a zero it never counted.
 #[test]
 fn scale_without_metrics_reports_shared_locks_not_counted() {
-    let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
-        .args(["scale", "--cores=1"])
+    let out = Command::new(EXE)
+        .args(["sweep", "scale", "--cores=1"])
         .output()
         .expect("binary runs");
     assert!(out.status.success(), "sweep scale --cores=1 failed");
@@ -259,10 +257,9 @@ fn scale_without_metrics_reports_shared_locks_not_counted() {
 /// has no clauses.
 #[test]
 fn empty_fault_plan_is_bit_identical_to_unconfigured() {
-    let exe = env!("CARGO_BIN_EXE_fig8");
-    let (out_base, json_base, trace_base) = run_bin(exe, "a", "nofaults");
+    let (out_base, json_base, trace_base) = run_bin("fig8", "a", "nofaults");
     let (out_empty, json_empty, trace_empty) =
-        run_bin_with(exe, "a", "emptyfaults", &["--faults", ""]);
+        run_bin_with("fig8", "a", "emptyfaults", &["--faults", ""]);
     assert_eq!(
         out_base.stdout, out_empty.stdout,
         "stdout diverged with an empty fault plan installed"
@@ -281,9 +278,8 @@ fn empty_fault_plan_is_bit_identical_to_unconfigured() {
 /// and its injections are visible in the JSON record's fault counters.
 #[test]
 fn injected_faults_are_deterministic_and_reported() {
-    let exe = env!("CARGO_BIN_EXE_sweep");
     let spec = "nvme.write:media_error@op=40";
-    let run = |tag: &str| run_bin_with(exe, "qd", tag, &["--faults", spec]);
+    let run = |tag: &str| run_bin_with("sweep", "qd", tag, &["--faults", spec]);
     let (out1, json1, trace1) = run("faults-one");
     let (out2, json2, trace2) = run("faults-two");
     assert_eq!(out1.stdout, out2.stdout, "stdout diverged under faults");
@@ -298,8 +294,26 @@ fn injected_faults_are_deterministic_and_reported() {
 
 #[test]
 fn fig8_artifacts_are_nonempty() {
-    let (_, json, trace) = run_bin(env!("CARGO_BIN_EXE_fig8"), "a", "nonempty");
+    let (_, json, trace) = run_bin("fig8", "a", "nonempty");
     assert!(json.len() > 64, "JSON record suspiciously small");
     assert!(trace.len() > 64, "trace suspiciously small");
-    let _ = PathBuf::from(env!("CARGO_BIN_EXE_fig8")); // binary path resolved at compile time
+}
+
+/// `--cores` must name one of the swept vcore counts; anything else is a
+/// bad command line (usage, exit 2), not a panic or a silent full sweep.
+#[test]
+fn scale_rejects_a_bad_cores_filter() {
+    for bad in ["--cores=7", "--cores=abc"] {
+        let out = Command::new(EXE)
+            .args(["sweep", "scale", bad])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bad}:\n{stderr}");
+        assert!(
+            stderr.contains("usage: aquila-bench sweep scale"),
+            "{bad}:\n{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{bad} must not start the sweep");
+    }
 }

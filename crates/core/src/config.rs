@@ -136,10 +136,6 @@ pub struct AquilaConfig {
     pub cache_frames: usize,
     /// Maximum cache size (dynamic resizing headroom).
     pub max_cache_frames: usize,
-    /// Readahead window in pages under `Advice::Normal`.
-    pub readahead: usize,
-    /// Readahead window under `Advice::Sequential`.
-    pub readahead_seq: usize,
     /// IPI send path for shootdowns (paper default: vmexit-mediated).
     pub ipi_path: IpiSendPath,
     /// NUMA shape.
@@ -157,8 +153,6 @@ impl AquilaConfig {
                 cores,
                 cache_frames,
                 max_cache_frames: cache_frames,
-                readahead: 8,
-                readahead_seq: 32,
                 ipi_path: IpiSendPath::VmexitMediated,
                 topology: NumaTopology::flat(cores),
                 policy: MmioPolicy::default(),
@@ -178,13 +172,6 @@ impl AquilaConfigBuilder {
     /// Maximum cache size for dynamic resizing (default: `cache_frames`).
     pub fn max_cache_frames(mut self, frames: usize) -> Self {
         self.cfg.max_cache_frames = frames;
-        self
-    }
-
-    /// Readahead windows for `Advice::Normal` and `Advice::Sequential`.
-    pub fn readahead(mut self, normal: usize, sequential: usize) -> Self {
-        self.cfg.readahead = normal;
-        self.cfg.readahead_seq = sequential;
         self
     }
 

@@ -59,6 +59,10 @@ const V_PT: &str = "mmu.pt.state";
 const MAX_PROMOTED_SHARE: usize = 50;
 /// Base admission delay for an over-quota tenant under pressure.
 const QOS_DELAY: Cycles = Cycles::from_micros(2);
+/// Readahead window in pages under `Advice::Normal`/`WillNeed`.
+const READAHEAD_PAGES: u64 = 8;
+/// Readahead window in pages under `Advice::Sequential`.
+const READAHEAD_SEQ_PAGES: u64 = 32;
 
 use aquila_vma::AddressSpace;
 pub use aquila_vma::{Advice, Prot};
@@ -1485,15 +1489,12 @@ impl Aquila {
     ) {
         let window = match desc.advice() {
             Advice::Random | Advice::DontNeed => return,
-            Advice::Sequential => self.cfg.readahead_seq,
-            Advice::Normal | Advice::WillNeed => self.cfg.readahead,
+            Advice::Sequential => READAHEAD_SEQ_PAGES,
+            Advice::Normal | Advice::WillNeed => READAHEAD_PAGES,
         };
-        if window == 0 {
-            return;
-        }
         let end_fp = desc.file_page + desc.pages;
         let mut to_fetch = Vec::new();
-        for i in 1..=window as u64 {
+        for i in 1..=window {
             let fp = file_page + i;
             if fp >= end_fp {
                 break;

@@ -11,6 +11,11 @@ step() { printf '\n==> %s\n' "$*"; }
 step "cargo build --release"
 cargo build --release
 
+# The default member is the integration suite, so the plain build above
+# leaves the bench binaries that the gates below run missing or stale.
+step "cargo build --release -p aquila-bench --bins"
+cargo build --release -p aquila-bench --bins
+
 step "cargo fmt --check"
 cargo fmt --check
 
@@ -28,6 +33,7 @@ trap 'rm -rf "$tmp"' EXIT
 # Scalar extraction goes through the shared bench::json parser via
 # `aquila-prof get` (one code path for every schema-v3 consumer).
 prof=target/release/aquila-prof
+bench=target/release/aquila-bench
 
 step "static analysis (aquila-analysis lint --strict, AQ001-AQ010)"
 cargo run --release -q -p aquila-analysis -- lint --strict \
@@ -45,7 +51,7 @@ step "interprocedural checker fixtures (seeded AQ008/AQ009/AQ010 bugs)"
 scripts/lint-fixtures.sh
 
 step "fig8 smoke run with --json/--trace"
-cargo run --release -q -p aquila-bench --bin fig8 -- c \
+"$bench" fig8 c \
     --json "$tmp/r.json" --trace "$tmp/t.json" > "$tmp/stdout.txt"
 
 grep -q '"schema_version": 5' "$tmp/r.json" ||
@@ -62,8 +68,8 @@ grep -q '"ph":"b"' "$tmp/t.json" ||
     { echo "FAIL: trace has no causal span begin events" >&2; exit 1; }
 
 step "race-detector smoke run (fig8 a --race, twice, bit-identical)"
-cargo run --release -q -p aquila-bench --bin fig8 -- a --race > "$tmp/race1.txt"
-cargo run --release -q -p aquila-bench --bin fig8 -- a --race > "$tmp/race2.txt"
+"$bench" fig8 a --race > "$tmp/race1.txt"
+"$bench" fig8 a --race > "$tmp/race2.txt"
 diff "$tmp/race1.txt" "$tmp/race2.txt" ||
     { echo "FAIL: race-detector runs are not bit-identical" >&2; exit 1; }
 grep -q 'race detector: 0 findings' "$tmp/race1.txt" ||
@@ -74,7 +80,7 @@ step "write-behind sweep smoke run (sweep qd --race --json, async speedup at qd4
 # crates/bench/tests/determinism.rs (sweep_async_pipeline_is_bit_identical_
 # across_runs) and already ran under `cargo test --workspace` above; this
 # step asserts the performance claim itself from the JSON record.
-cargo run --release -q -p aquila-bench --bin sweep -- qd --race \
+"$bench" sweep qd --race \
     --json "$tmp/sweep.json" > "$tmp/sweep.txt"
 grep -q 'race detector: 0 findings' "$tmp/sweep.txt" ||
     { echo "FAIL: race detector reported findings in sweep" >&2; exit 1; }
@@ -83,9 +89,9 @@ grep -q 'race detector: 0 findings' "$tmp/sweep.txt" ||
 
 step "fault-injection sweep smoke run (sweep qd --faults --race, twice, bit-identical)"
 fault_spec='nvme.write:media_error@op=40'
-cargo run --release -q -p aquila-bench --bin sweep -- qd --race \
+"$bench" sweep qd --race \
     --faults "$fault_spec" --json "$tmp/f1.json" > "$tmp/fault1.txt"
-cargo run --release -q -p aquila-bench --bin sweep -- qd --race \
+"$bench" sweep qd --race \
     --faults "$fault_spec" --json "$tmp/f2.json" > "$tmp/fault2.txt"
 # The runs write to distinct JSON paths and stdout echoes the path it
 # wrote, so strip that one line before comparing.
@@ -103,7 +109,7 @@ step "tlb sweep smoke run (sweep tlb --race --json, 2 MiB dTLB-miss win)"
 # (sweep_tlb_part_is_bit_identical_across_runs); this step asserts the
 # headline huge-page claims from the JSON record: >= 4x fewer warm-scan
 # dTLB misses and a measurable cold fault-path cycle reduction.
-cargo run --release -q -p aquila-bench --bin sweep -- tlb --race \
+"$bench" sweep tlb --race \
     --json "$tmp/tlb.json" > "$tmp/tlb.txt"
 grep -q 'race detector: 0 findings' "$tmp/tlb.txt" ||
     { echo "FAIL: race detector reported findings in tlb sweep" >&2; exit 1; }
@@ -113,9 +119,9 @@ grep -q 'race detector: 0 findings' "$tmp/tlb.txt" ||
     { echo "FAIL: promotion does not reduce fault-path cycles" >&2; exit 1; }
 
 step "latency sweep (sweep latency --race, twice, bit-identical JSON)"
-cargo run --release -q -p aquila-bench --bin sweep -- latency --race \
+"$bench" sweep latency --race \
     --json "$tmp/lat1.json" > "$tmp/lat1.txt"
-cargo run --release -q -p aquila-bench --bin sweep -- latency --race \
+"$bench" sweep latency --race \
     --json "$tmp/lat2.json" > "$tmp/lat2.txt"
 diff "$tmp/lat1.json" "$tmp/lat2.json" ||
     { echo "FAIL: latency sweep JSON not bit-identical across runs" >&2; exit 1; }
@@ -134,7 +140,7 @@ step "serve smoke run (serve qos --race --json, per-tenant SLO isolation)"
 # QoS claim itself: the protected tenant's p99 holds inside its declared
 # SLO (48 K cycles = 20 us) with tenant QoS on, and the same seed with
 # QoS off lets the zipf-hot neighbor blow it.
-cargo run --release -q -p aquila-bench --bin serve -- qos --race \
+"$bench" serve qos --race \
     --json "$tmp/serve.json" > "$tmp/serve.txt"
 grep -q 'race detector: 0 findings' "$tmp/serve.txt" ||
     { echo "FAIL: race detector reported findings in serve" >&2; exit 1; }
@@ -154,7 +160,7 @@ step "integrity smoke run (serve integrity --race --json, zero undetected corrup
 # `integrity` section: the storm injected silent faults, sector
 # checksums caught every one, the mirror repaired them all, and no
 # corrupted payload was acked — while the protected tenant's SLO held.
-cargo run --release -q -p aquila-bench --bin serve -- integrity --race \
+"$bench" serve integrity --race \
     --json "$tmp/integrity.json" > "$tmp/integrity.txt"
 grep -q 'race detector: 0 findings' "$tmp/integrity.txt" ||
     { echo "FAIL: race detector reported findings in serve integrity" >&2; exit 1; }
@@ -177,7 +183,7 @@ step "scale sweep smoke run (sweep scale --race --json, 1 -> 256 vcore fault sto
 # vcores, >= 128x at 256, half of linear) while linuxsim's non-scalable
 # page-cache tree lock collapses (< 2x), and the fast path walked the
 # VMA tree's shared lock zero times along the way.
-cargo run --release -q -p aquila-bench --bin sweep -- scale --race \
+"$bench" sweep scale --race \
     --json "$tmp/scale.json" > "$tmp/scale.txt"
 grep -q 'race detector: 0 findings' "$tmp/scale.txt" ||
     { echo "FAIL: race detector reported findings in scale sweep" >&2; exit 1; }
@@ -191,7 +197,7 @@ grep -q 'race detector: 0 findings' "$tmp/scale.txt" ||
     { echo "FAIL: scaled fault fast path walked the VMA tree's shared lock" >&2; exit 1; }
 
 step "aquila-prof flamegraph from a fig10 trace"
-cargo run --release -q -p aquila-bench --bin fig10 -- fit --tiny \
+"$bench" fig10 fit --tiny \
     --trace "$tmp/fig10.trace.json" > /dev/null
 "$prof" flame "$tmp/fig10.trace.json" --out "$tmp/fig10.folded" > "$tmp/flame.txt"
 grep -q 'aquila.fault' "$tmp/fig10.folded" ||
@@ -203,7 +209,7 @@ step "fig10 fit host-time smoke (must finish within 120 s)"
 # linuxsim's munmap once scanned every rmap list per unmapped page, which
 # made this part take minutes of host time; keyed removal brings it to a
 # few seconds. The timeout fails the run if a quadratic path returns.
-timeout 120 cargo run --release -q -p aquila-bench --bin fig10 -- fit \
+timeout 120 "$bench" fig10 fit \
     > "$tmp/fig10fit.txt" ||
     { echo "FAIL: fig10 fit did not finish within 120 s" >&2; exit 1; }
 
@@ -211,7 +217,7 @@ step "fig10 nofit host-time smoke (must finish within 60 s)"
 # Fig 10(b) is linuxsim's major-fault path over a file 12x the cache:
 # every fault reads ahead, reclaims and evicts. It runs in about a
 # second; the timeout fails the run if that path turns super-linear.
-timeout 60 cargo run --release -q -p aquila-bench --bin fig10 -- nofit \
+timeout 60 "$bench" fig10 nofit \
     > "$tmp/fig10nofit.txt" ||
     { echo "FAIL: fig10 nofit did not finish within 60 s" >&2; exit 1; }
 
