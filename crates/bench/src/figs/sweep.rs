@@ -42,8 +42,8 @@ const CACHE_FRAMES: usize = 1024;
 
 /// The engine a store storm runs against.
 enum Target {
-    /// Aquila's mmio path under this policy, with an evictor thread on
-    /// each of its `evictor_cores`.
+    /// Aquila's mmio path under this policy; under
+    /// [`WritePolicy::Async`] one evictor thread runs on core `WORKERS`.
     Mmio(MmioPolicy),
     /// linuxsim's kernel mmap path: inline reclaim, no evictor thread.
     Linux,
@@ -55,11 +55,8 @@ enum Target {
 /// service latency (the cycles the faulting worker lost to the store
 /// that faulted) and the engine's report.
 fn run_storm(target: &Target, ops_per_thread: u64) -> (LatencyHist, RunReport) {
-    let evictor_cores = match target {
-        Target::Mmio(policy) => policy.evictor_cores.clone(),
-        Target::Linux => Vec::new(),
-    };
-    let cores = WORKERS + evictor_cores.len();
+    let evictor = matches!(target, Target::Mmio(p) if p.write_policy == WritePolicy::Async);
+    let cores = WORKERS + usize::from(evictor);
     let mut engine = Engine::new(cores, 0x5EE9);
     let mut ctx = aquila_sim::FreeCtx::new(0x5EE9);
     // `store(ctx, page)` writes the page number 16 bytes into `page`.
@@ -141,13 +138,8 @@ fn run_storm(target: &Target, ops_per_thread: u64) -> (LatencyHist, RunReport) {
             }),
         );
     }
-    if let Some(rt) = &rt {
-        for &core in &evictor_cores {
-            engine.spawn(
-                core,
-                rt.aquila.evictor(Arc::clone(&stop), Cycles::from_micros(2)),
-            );
-        }
+    if let Some(rt) = rt.as_ref().filter(|_| evictor) {
+        engine.spawn(WORKERS, rt.aquila.evictor(Arc::clone(&stop)));
     }
     let report = engine.run();
     (hist.take(), report)
@@ -177,7 +169,6 @@ fn async_policy(queue_depth: usize, low: usize, high: usize) -> MmioPolicy {
     MmioPolicy {
         low_watermark: low,
         high_watermark: high,
-        evictor_cores: vec![WORKERS],
         write_policy: WritePolicy::Async,
         queue_depth,
         ..MmioPolicy::default()

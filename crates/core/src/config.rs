@@ -2,26 +2,27 @@
 //!
 //! Construction goes through [`AquilaConfig::builder`]; the builder is the
 //! only supported way to assemble a configuration (lint AQ005 rejects
-//! direct struct construction elsewhere). The replacement/write-behind
-//! knobs live in their own [`MmioPolicy`] section so the eviction pipeline
-//! can be configured as a unit:
+//! direct struct construction elsewhere). The builder derives the machine
+//! shape from the core count; every replacement/write-behind knob lives
+//! in the [`MmioPolicy`] section, set as one struct literal:
 //!
 //! ```
-//! use aquila::config::{AquilaConfig, WritePolicy};
+//! use aquila::config::{AquilaConfig, MmioPolicy, WritePolicy};
 //!
 //! let cfg = AquilaConfig::builder(4, 4096)
 //!     .max_cache_frames(8192)
-//!     .write_policy(WritePolicy::Async)
-//!     .watermarks(256, 1024)
-//!     .queue_depth(8)
-//!     .evictor_cores(vec![3])
+//!     .policy(MmioPolicy {
+//!         write_policy: WritePolicy::Async,
+//!         low_watermark: 256,
+//!         high_watermark: 1024,
+//!         ..MmioPolicy::default()
+//!     })
 //!     .build();
 //! assert_eq!(cfg.policy.low_watermark, 256);
 //! ```
 
 use aquila_devices::RetryPolicy;
 use aquila_pcache::NumaTopology;
-use aquila_sim::Cycles;
 use aquila_vmx::IpiSendPath;
 
 /// When eviction writeback happens.
@@ -31,10 +32,12 @@ pub enum WritePolicy {
     /// vcore's eviction round — the fault that triggers eviction pays the
     /// full device latency (the pre-pipeline behavior, and the default).
     Sync,
-    /// Dedicated evictor threads watch the freelist watermarks, detach
-    /// victim batches off the fault path, and write them back through
-    /// real NVMe queue pairs at [`MmioPolicy::queue_depth`]; faulting
-    /// vcores take clean frames from the freelist and rarely block.
+    /// Dedicated evictor threads (the harness spawns
+    /// [`crate::Aquila::evictor`] on cores of its choosing) watch the
+    /// freelist watermarks, detach victim batches off the fault path,
+    /// and write them back through real NVMe queue pairs at
+    /// [`MmioPolicy::queue_depth`]; faulting vcores take clean frames
+    /// from the freelist and rarely block.
     Async,
 }
 
@@ -52,9 +55,6 @@ pub struct MmioPolicy {
     /// Free-frame count the evictor refills to once triggered. Same 0
     /// semantics as `low_watermark`.
     pub high_watermark: usize,
-    /// Simulated cores that run evictor threads (the harness spawns one
-    /// [`crate::Aquila::evictor`] thread per listed core).
-    pub evictor_cores: Vec<usize>,
     /// When writeback happens relative to the fault path.
     pub write_policy: WritePolicy,
     /// NVMe queue depth for write-behind submission. 1 degenerates to the
@@ -65,12 +65,6 @@ pub struct MmioPolicy {
     /// apply it to blocking I/O; the write-behind pipeline applies it to
     /// queue-pair submission.
     pub retry: RetryPolicy,
-    /// How long the freelist may sit *continuously* below the low
-    /// watermark before the engine concludes the write-behind evictor
-    /// cannot keep up and degrades the region to synchronous
-    /// write-through (DESIGN.md §11). Only meaningful under
-    /// [`WritePolicy::Async`]; [`Cycles::MAX`] disables the deadline.
-    pub stall_deadline: Cycles,
     /// Enables transparent 2 MiB huge-page promotion (DESIGN.md §12):
     /// 2 MiB-aligned runs of resident file pages collapse into a single
     /// PD-level PTE backed by a physically contiguous slab run.
@@ -95,10 +89,6 @@ pub struct MmioPolicy {
     /// Off by default: single-device runs are bit-for-bit unchanged.
     /// Every read through the mirror verifies its per-sector checksums.
     pub mirror: bool,
-    /// Virtual-time pause between background-scrubber pages;
-    /// [`Cycles::ZERO`] disables the scrubber. Only meaningful with
-    /// [`MmioPolicy::mirror`].
-    pub scrub_rate: Cycles,
     /// Resolves address-space lookups through Theseus-style spill-free
     /// region descriptors — O(1), no tree walk, no shared lock on any
     /// fault (DESIGN.md §17) — instead of the radix VMA tree. Off by
@@ -112,16 +102,13 @@ impl Default for MmioPolicy {
             evict_batch: 512,
             low_watermark: 0,
             high_watermark: 0,
-            evictor_cores: Vec::new(),
             write_policy: WritePolicy::Sync,
             queue_depth: 8,
             retry: RetryPolicy::default(),
-            stall_deadline: Cycles::from_millis(10),
             huge_pages: false,
             promote_threshold: 512,
             tenant_qos: false,
             mirror: false,
-            scrub_rate: Cycles::ZERO,
             spill_regions: false,
         }
     }
@@ -145,23 +132,33 @@ pub struct AquilaConfig {
 }
 
 impl AquilaConfig {
-    /// Starts a builder for a flat-`cores` machine with a cache of
-    /// `cache_frames` frames.
+    /// Starts a builder for a `cores`-wide machine with a cache of
+    /// `cache_frames` frames. Up to 16 cores form one NUMA node; wider
+    /// machines split into two nodes.
     pub fn builder(cores: usize, cache_frames: usize) -> AquilaConfigBuilder {
+        let topology = if cores > 16 {
+            NumaTopology {
+                nodes: 2,
+                cores_per_node: cores.div_ceil(2),
+            }
+        } else {
+            NumaTopology::flat(cores)
+        };
         AquilaConfigBuilder {
             cfg: AquilaConfig {
                 cores,
                 cache_frames,
                 max_cache_frames: cache_frames,
                 ipi_path: IpiSendPath::VmexitMediated,
-                topology: NumaTopology::flat(cores),
+                topology,
                 policy: MmioPolicy::default(),
             },
         }
     }
 }
 
-/// Builder for [`AquilaConfig`]. Every knob has a sensible default; call
+/// Builder for [`AquilaConfig`]. Its only settings are the resize
+/// headroom and the [`MmioPolicy`] section; call
 /// [`AquilaConfigBuilder::build`] to finish.
 #[derive(Debug, Clone)]
 pub struct AquilaConfigBuilder {
@@ -175,106 +172,9 @@ impl AquilaConfigBuilder {
         self
     }
 
-    /// IPI send path for TLB shootdowns.
-    pub fn ipi_path(mut self, path: IpiSendPath) -> Self {
-        self.cfg.ipi_path = path;
-        self
-    }
-
-    /// NUMA topology (default: flat).
-    pub fn topology(mut self, topology: NumaTopology) -> Self {
-        self.cfg.topology = topology;
-        self
-    }
-
     /// Replaces the whole policy section at once.
     pub fn policy(mut self, policy: MmioPolicy) -> Self {
         self.cfg.policy = policy;
-        self
-    }
-
-    /// Pages evicted per eviction round.
-    pub fn evict_batch(mut self, batch: usize) -> Self {
-        self.cfg.policy.evict_batch = batch;
-        self
-    }
-
-    /// Freelist watermarks driving the asynchronous evictor: start a
-    /// round below `low` free frames, refill to `high`.
-    pub fn watermarks(mut self, low: usize, high: usize) -> Self {
-        self.cfg.policy.low_watermark = low;
-        self.cfg.policy.high_watermark = high;
-        self
-    }
-
-    /// When eviction writeback happens ([`WritePolicy::Sync`] default).
-    pub fn write_policy(mut self, policy: WritePolicy) -> Self {
-        self.cfg.policy.write_policy = policy;
-        self
-    }
-
-    /// NVMe queue depth for write-behind submission (default 8).
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.cfg.policy.queue_depth = depth;
-        self
-    }
-
-    /// Cores that run evictor threads.
-    pub fn evictor_cores(mut self, cores: Vec<usize>) -> Self {
-        self.cfg.policy.evictor_cores = cores;
-        self
-    }
-
-    /// Retry/backoff policy for transient device-command failures.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.cfg.policy.retry = retry;
-        self
-    }
-
-    /// Continuous-watermark-stall budget before write-behind degrades to
-    /// write-through ([`Cycles::MAX`] disables).
-    pub fn stall_deadline(mut self, deadline: Cycles) -> Self {
-        self.cfg.policy.stall_deadline = deadline;
-        self
-    }
-
-    /// Enables transparent 2 MiB huge-page promotion (default off).
-    pub fn huge_pages(mut self, on: bool) -> Self {
-        self.cfg.policy.huge_pages = on;
-        self
-    }
-
-    /// Resident pages (of 512) that trigger promotion of an aligned run.
-    pub fn promote_threshold(mut self, pages: usize) -> Self {
-        self.cfg.policy.promote_threshold = pages;
-        self
-    }
-
-    /// Enables multi-tenant QoS: quotas, fair eviction, admission
-    /// control (default off).
-    pub fn tenant_qos(mut self, on: bool) -> Self {
-        self.cfg.policy.tenant_qos = on;
-        self
-    }
-
-    /// Enables the 2-way mirrored NVMe backend with read-repair
-    /// (default off).
-    pub fn mirror(mut self, on: bool) -> Self {
-        self.cfg.policy.mirror = on;
-        self
-    }
-
-    /// Virtual-time pause between scrubbed pages; [`Cycles::ZERO`]
-    /// (default) disables the background scrubber.
-    pub fn scrub_rate(mut self, rate: Cycles) -> Self {
-        self.cfg.policy.scrub_rate = rate;
-        self
-    }
-
-    /// Resolves address-space lookups through spill-free region
-    /// descriptors instead of the VMA tree (default off).
-    pub fn spill_regions(mut self, on: bool) -> Self {
-        self.cfg.policy.spill_regions = on;
         self
     }
 
@@ -312,17 +212,39 @@ mod tests {
         assert_eq!(cfg.cores, 4);
         assert_eq!(cfg.cache_frames, 1024);
         assert_eq!(cfg.max_cache_frames, 1024);
+        assert_eq!(cfg.ipi_path, IpiSendPath::VmexitMediated);
         assert_eq!(cfg.policy.evict_batch, 512);
         assert_eq!(cfg.policy.write_policy, WritePolicy::Sync);
         assert_eq!(cfg.policy.queue_depth, 8);
         assert_eq!(cfg.policy.low_watermark, 0, "sync mode: no watermarks");
-        assert!(cfg.policy.evictor_cores.is_empty());
+    }
+
+    #[test]
+    fn optional_subsystems_default_off() {
+        let d = MmioPolicy::default();
+        assert!(!d.huge_pages, "huge pages must be opt-in");
+        assert_eq!(d.promote_threshold, 512);
+        assert!(!d.tenant_qos, "QoS must be opt-in");
+        assert!(!d.mirror, "mirroring must be opt-in");
+        assert!(!d.spill_regions, "region map must be opt-in");
+        assert_eq!(d.retry.max_attempts, RetryPolicy::default().max_attempts);
+    }
+
+    #[test]
+    fn builder_derives_numa_topology_from_cores() {
+        let flat = AquilaConfig::builder(16, 1024).build().topology;
+        assert_eq!((flat.nodes, flat.cores_per_node), (1, 16));
+        let split = AquilaConfig::builder(17, 1024).build().topology;
+        assert_eq!((split.nodes, split.cores_per_node), (2, 9));
     }
 
     #[test]
     fn async_derives_watermarks_from_cache_size() {
         let cfg = AquilaConfig::builder(2, 4096)
-            .write_policy(WritePolicy::Async)
+            .policy(MmioPolicy {
+                write_policy: WritePolicy::Async,
+                ..MmioPolicy::default()
+            })
             .build();
         assert_eq!(cfg.policy.low_watermark, 512);
         assert_eq!(cfg.policy.high_watermark, 1024);
@@ -331,83 +253,30 @@ mod tests {
     #[test]
     fn explicit_watermarks_survive_and_clamp() {
         let cfg = AquilaConfig::builder(2, 4096)
-            .write_policy(WritePolicy::Async)
-            .watermarks(100, 50)
-            .queue_depth(16)
-            .evictor_cores(vec![1])
+            .policy(MmioPolicy {
+                write_policy: WritePolicy::Async,
+                low_watermark: 100,
+                high_watermark: 50,
+                queue_depth: 16,
+                ..MmioPolicy::default()
+            })
             .build();
         assert_eq!(cfg.policy.low_watermark, 100);
         assert_eq!(cfg.policy.high_watermark, 100, "clamped up to low");
         assert_eq!(cfg.policy.queue_depth, 16);
-        assert_eq!(cfg.policy.evictor_cores, vec![1]);
-    }
-
-    #[test]
-    fn retry_and_stall_knobs_flow_through() {
-        let cfg = AquilaConfig::builder(2, 256)
-            .retry(RetryPolicy {
-                max_attempts: 7,
-                ..RetryPolicy::default()
-            })
-            .stall_deadline(Cycles::from_micros(50))
-            .build();
-        assert_eq!(cfg.policy.retry.max_attempts, 7);
-        assert_eq!(cfg.policy.stall_deadline, Cycles::from_micros(50));
-        let d = MmioPolicy::default();
-        assert_eq!(d.retry.max_attempts, RetryPolicy::default().max_attempts);
-        assert!(d.stall_deadline > Cycles::ZERO);
-    }
-
-    #[test]
-    fn huge_page_knobs_default_off_and_flow_through() {
-        let d = MmioPolicy::default();
-        assert!(!d.huge_pages);
-        assert_eq!(d.promote_threshold, 512);
-        let cfg = AquilaConfig::builder(2, 4096)
-            .huge_pages(true)
-            .promote_threshold(384)
-            .build();
-        assert!(cfg.policy.huge_pages);
-        assert_eq!(cfg.policy.promote_threshold, 384);
-    }
-
-    #[test]
-    fn integrity_knobs_default_off_and_flow_through() {
-        let d = MmioPolicy::default();
-        assert!(!d.mirror, "mirroring must be opt-in");
-        assert_eq!(d.scrub_rate, Cycles::ZERO, "scrubber off by default");
-        let cfg = AquilaConfig::builder(2, 1024)
-            .mirror(true)
-            .scrub_rate(Cycles::from_micros(50))
-            .build();
-        assert!(cfg.policy.mirror);
-        assert_eq!(cfg.policy.scrub_rate, Cycles::from_micros(50));
     }
 
     #[test]
     #[should_panic(expected = "invalid retry policy")]
     fn degenerate_retry_policy_fails_at_build() {
         let _ = AquilaConfig::builder(2, 1024)
-            .retry(RetryPolicy {
-                max_attempts: 0,
-                ..RetryPolicy::default()
+            .policy(MmioPolicy {
+                retry: RetryPolicy {
+                    max_attempts: 0,
+                    ..RetryPolicy::default()
+                },
+                ..MmioPolicy::default()
             })
             .build();
-    }
-
-    #[test]
-    fn scale_knobs_default_off_and_flow_through() {
-        let d = MmioPolicy::default();
-        assert!(!d.spill_regions, "region map must be opt-in");
-        let cfg = AquilaConfig::builder(16, 4096).spill_regions(true).build();
-        assert!(cfg.policy.spill_regions);
-    }
-
-    #[test]
-    fn qos_knobs_default_off_and_flow_through() {
-        let d = MmioPolicy::default();
-        assert!(!d.tenant_qos, "QoS must be opt-in");
-        let cfg = AquilaConfig::builder(2, 1024).tenant_qos(true).build();
-        assert!(cfg.policy.tenant_qos);
     }
 }

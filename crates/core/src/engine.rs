@@ -59,6 +59,13 @@ const V_PT: &str = "mmu.pt.state";
 const MAX_PROMOTED_SHARE: usize = 50;
 /// Base admission delay for an over-quota tenant under pressure.
 const QOS_DELAY: Cycles = Cycles::from_micros(2);
+/// How long the freelist may sit *continuously* below the low watermark
+/// under [`WritePolicy::Async`] before the engine concludes the
+/// write-behind evictor cannot keep up and degrades the region to
+/// synchronous write-through (DESIGN.md §11).
+pub(crate) const STALL_DEADLINE: Cycles = Cycles::from_millis(10);
+/// Virtual-time tick an idle evictor thread waits between freelist checks.
+const EVICTOR_POLL: Cycles = Cycles::from_micros(2);
 /// Readahead window in pages under `Advice::Normal`/`WillNeed`.
 const READAHEAD_PAGES: u64 = 8;
 /// Readahead window in pages under `Advice::Sequential`.
@@ -287,11 +294,6 @@ impl Aquila {
         *self.stats.lock()
     }
 
-    /// The configuration this instance was booted with.
-    pub fn config(&self) -> &AquilaConfig {
-        &self.cfg
-    }
-
     /// Current write-path health of the region.
     pub fn region_state(&self) -> RegionState {
         self.degrade.lock().state
@@ -318,7 +320,7 @@ impl Aquila {
     }
 
     /// Samples the freelist against the low watermark: a *continuous*
-    /// stretch below it longer than [`MmioPolicy::stall_deadline`] means
+    /// stretch below it longer than [`STALL_DEADLINE`] means
     /// the write-behind evictor cannot keep up, and the region degrades
     /// to synchronous write-through. Called from the evictor tick and
     /// the direct-reclaim fallback; any alloc recovery above the
@@ -327,7 +329,6 @@ impl Aquila {
         if self.cfg.policy.write_policy != WritePolicy::Async {
             return;
         }
-        let deadline = self.cfg.policy.stall_deadline;
         let stalled = self.cache.watermark_deficit() > 0;
         let mut d = self.degrade.lock();
         if !stalled {
@@ -337,9 +338,7 @@ impl Aquila {
         match d.stall_since {
             None => d.stall_since = Some(ctx.now()),
             Some(t0) => {
-                if deadline != Cycles::MAX
-                    && ctx.now().saturating_sub(t0) > deadline
-                    && d.state == RegionState::Healthy
+                if ctx.now().saturating_sub(t0) > STALL_DEADLINE && d.state == RegionState::Healthy
                 {
                     drop(d);
                     self.transition(ctx, RegionState::WriteThrough);
@@ -665,7 +664,6 @@ impl Aquila {
         // a 2 MiB leaf cannot be write-protected per page, so any run
         // the range touches splinters first.
         self.demote_range(ctx, addr.vpn(), pages);
-        let file = FileId(desc.file);
         let start_fp = desc.file_page_of(addr.vpn());
         let dirty = self
             .cache
@@ -700,7 +698,6 @@ impl Aquila {
         }
         self.tlbs
             .shootdown_batch(ctx, &self.debts, self.cfg.ipi_path, &flushed);
-        let _ = file;
         Ok(())
     }
 
@@ -1404,14 +1401,16 @@ impl Aquila {
     }
 
     /// Builds the step function of a dedicated evictor thread for the DES
-    /// engine (spawn one per core in [`MmioPolicy::evictor_cores`]).
+    /// engine. Under [`WritePolicy::Async`] the harness spawns it on a
+    /// core of its choosing (the benches use the core after the last
+    /// worker).
     ///
     /// The thread runs [`Aquila::evictor_round`] whenever the freelist is
-    /// below the low watermark, idles in `poll_interval`-cycle ticks
-    /// otherwise, and exits once `stop` is set and the freelist is
-    /// healthy (each round drains its own queue pair, so nothing stays in
-    /// flight across steps).
-    pub fn evictor(self: &Arc<Self>, stop: Arc<AtomicBool>, poll_interval: Cycles) -> ThreadFn {
+    /// below the low watermark, idles in 2 µs virtual ticks otherwise,
+    /// and exits once `stop` is set and the freelist is healthy (each
+    /// round drains its own queue pair, so nothing stays in flight
+    /// across steps).
+    pub fn evictor(self: &Arc<Self>, stop: Arc<AtomicBool>) -> ThreadFn {
         let aq = Arc::clone(self);
         Box::new(move |ctx| {
             aq.track_watermark_stall(ctx);
@@ -1425,7 +1424,7 @@ impl Aquila {
             if stop.load(Ordering::Acquire) {
                 return Step::Done;
             }
-            ctx.charge(CostCat::Idle, poll_interval);
+            ctx.charge(CostCat::Idle, EVICTOR_POLL);
             Step::Yield
         })
     }

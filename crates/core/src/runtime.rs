@@ -10,7 +10,6 @@ use aquila_devices::{
     AccessKind, BlobError, Blobstore, CallDomain, DaxAccess, HostNvmeAccess, HostPmemAccess,
     MirrorAccess, NvmeDevice, NvmeProfile, PmemDevice, SpdkAccess, StorageAccess,
 };
-use aquila_pcache::NumaTopology;
 use aquila_sim::{fault, CoreDebts, SimCtx};
 
 use crate::engine::{Aquila, AquilaConfig};
@@ -145,16 +144,7 @@ impl AquilaRuntime {
         debts: Arc<CoreDebts>,
         policy: crate::config::MmioPolicy,
     ) -> AquilaRuntime {
-        let topology = if cores > 16 {
-            NumaTopology {
-                nodes: 2,
-                cores_per_node: cores.div_ceil(2),
-            }
-        } else {
-            NumaTopology::flat(cores)
-        };
         let cfg = AquilaConfig::builder(cores, cache_frames)
-            .topology(topology)
             .policy(policy)
             .build();
         let aquila = Arc::new(Aquila::new(cfg, debts));

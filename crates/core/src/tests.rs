@@ -405,7 +405,6 @@ fn evictor_pipeline_offloads_eviction_and_preserves_data() {
             MmioPolicy {
                 low_watermark: 16,
                 high_watermark: 48,
-                evictor_cores: vec![1],
                 write_policy: WritePolicy::Async,
                 queue_depth: 8,
                 evict_batch: 32,
@@ -468,10 +467,7 @@ fn evictor_pipeline_offloads_eviction_and_preserves_data() {
             );
         }
         if pipeline {
-            engine.spawn(
-                1,
-                rt.aquila.evictor(Arc::clone(&stop), Cycles::from_micros(2)),
-            );
+            engine.spawn(1, rt.aquila.evictor(Arc::clone(&stop)));
         }
         let report = engine.run();
         assert!(report.counters.evictions > 0, "pressure forces eviction");
@@ -572,7 +568,7 @@ fn breaker_trip_degrades_region_to_read_only() {
 #[test]
 fn watermark_stall_degrades_async_to_write_through() {
     use crate::config::{MmioPolicy, WritePolicy};
-    use crate::engine::RegionState;
+    use crate::engine::{RegionState, STALL_DEADLINE};
 
     let mut ctx = FreeCtx::new(12);
     let debts = Arc::new(CoreDebts::new(1));
@@ -580,7 +576,6 @@ fn watermark_stall_degrades_async_to_write_through() {
         write_policy: WritePolicy::Async,
         low_watermark: 16,
         high_watermark: 32,
-        stall_deadline: Cycles::from_micros(100),
         ..MmioPolicy::default()
     };
     let rt = AquilaRuntime::build_with_policy(
@@ -600,7 +595,14 @@ fn watermark_stall_degrades_async_to_write_through() {
     }
     rt.aquila.track_watermark_stall(&ctx); // Starts the stall clock.
     assert_eq!(rt.aquila.region_state(), RegionState::Healthy);
-    ctx.charge(CostCat::Idle, Cycles::from_micros(200));
+    ctx.charge(CostCat::Idle, STALL_DEADLINE);
+    rt.aquila.track_watermark_stall(&ctx); // Exactly at the deadline.
+    assert_eq!(
+        rt.aquila.region_state(),
+        RegionState::Healthy,
+        "a stall of exactly the deadline is still tolerated"
+    );
+    ctx.charge(CostCat::Idle, Cycles(1));
     rt.aquila.track_watermark_stall(&ctx); // Past the deadline.
     assert_eq!(rt.aquila.region_state(), RegionState::WriteThrough);
     // Recovery of the freelist does not un-degrade (sticky for the run).

@@ -143,12 +143,10 @@ fn serve_policy(cfg: &ServeConfig) -> MmioPolicy {
     MmioPolicy {
         low_watermark: (cfg.cache_frames / 16).max(8),
         high_watermark: (cfg.cache_frames / 8).max(16),
-        evictor_cores: vec![cfg.worker_cores],
         write_policy: WritePolicy::Async,
         queue_depth: 4,
         tenant_qos: cfg.qos,
         mirror: cfg.mirror,
-        scrub_rate: cfg.scrub_rate,
         ..MmioPolicy::default()
     }
 }
@@ -284,10 +282,7 @@ pub fn run(cfg: &ServeConfig) -> ServeReport {
         tenants.push(tenant);
         hists.push(tenant_hists);
     }
-    engine.spawn(
-        cfg.worker_cores,
-        rt.aquila.evictor(Arc::clone(&stop), Cycles::from_micros(2)),
-    );
+    engine.spawn(cfg.worker_cores, rt.aquila.evictor(Arc::clone(&stop)));
     if cfg.mirror && cfg.scrub_rate > Cycles::ZERO {
         // The scrubber shares the housekeeping core with the evictor:
         // both are paced in virtual time, so they interleave cleanly.

@@ -25,7 +25,7 @@
 //!          | 'queue_full' ('*' LEN)?     # storm of LEN submissions (default 1)
 //!          | 'torn' ('=' SECTORS)?       # persist only SECTORS x 512 B (default 1)
 //!          | 'crash' ('=' SECTORS)?      # power cut; image torn at SECTORS (default 0)
-//!          | 'corrupt' ('=' BITS)?       # silently flip BITS bits in the payload (default 1)
+//!          | 'corrupt' ('=' BITS)?       # silently flip BITS (<= 32768) bits in the payload (default 1)
 //!          | 'latent' ('=' SECTORS)?     # SECTORS sectors become unreadable until rewritten (default 1)
 //! trigger := 'op=' N                     # the Nth (1-based) matching operation
 //!          | 'cycle=' N                  # first matching operation at/after cycle N
@@ -380,6 +380,10 @@ fn parse_clause(raw: &str) -> Result<FaultClause, FaultSpecError> {
     })
 }
 
+/// Largest `corrupt=N` count: every bit of one 4 KiB page. The device
+/// flips bits one at a time, so an unbounded count would stall the run.
+const MAX_CORRUPT_BITS: u64 = 4096 * 8;
+
 fn parse_num(s: &str, what: &str, raw: &str) -> Result<u64, FaultSpecError> {
     s.parse::<u64>()
         .map_err(|_| FaultSpecError(format!("clause {raw:?}: {what} {s:?} is not a number")))
@@ -421,6 +425,12 @@ fn parse_kind(s: &str, raw: &str) -> Result<FaultKind, FaultSpecError> {
             None if bits.is_empty() => 1,
             None => return Err(malformed("corrupt")),
         };
+        if bits > MAX_CORRUPT_BITS {
+            return Err(FaultSpecError(format!(
+                "clause {raw:?}: corrupt bits {bits} exceeds {MAX_CORRUPT_BITS} \
+                 (the bits in one 4 KiB page)"
+            )));
+        }
         return Ok(FaultKind::Corrupt { bits: bits.max(1) });
     }
     if let Some(sectors) = s.strip_prefix("latent") {
@@ -606,6 +616,10 @@ mod tests {
             ("nvme.write:media_error@op=zero", "op trigger"),
             ("nvme.write:media_error@when=1", "unknown trigger"),
             ("nvme.write:media_error@op=0", "1-based"),
+            (
+                "nvme.write:corrupt=18446744073709551615@op=1",
+                "exceeds 32768",
+            ),
         ];
         for (bad, detail) in cases {
             let spec = format!("nvme.read:media_error@op=9;{bad}");
@@ -644,6 +658,10 @@ mod tests {
         let q = FaultPlan::parse("nvme.read:corrupt@op=1; nvme.write:latent@op=1").unwrap();
         assert_eq!(q.clauses()[0].kind, FaultKind::Corrupt { bits: 1 });
         assert_eq!(q.clauses()[1].kind, FaultKind::Latent { sectors: 1 });
+        // A whole page of flips is the most one command can carry.
+        let full = FaultPlan::parse("nvme.write:corrupt=32768@op=1").unwrap();
+        assert_eq!(full.clauses()[0].kind, FaultKind::Corrupt { bits: 32768 });
+        assert!(FaultPlan::parse("nvme.write:corrupt=32769@op=1").is_err());
     }
 
     #[test]

@@ -15,8 +15,7 @@
 
 use std::sync::Arc;
 
-use aquila::{Advice, Aquila, AquilaConfig, AquilaRuntime, DeviceKind, Prot};
-use aquila_pcache::NumaTopology;
+use aquila::{Advice, Aquila, AquilaConfig, AquilaRuntime, DeviceKind, MmioPolicy, Prot};
 use aquila_sim::{CoreDebts, FreeCtx, SimCtx};
 
 const FILE_PAGES: u64 = 4096;
@@ -37,8 +36,10 @@ fn scan_with(advice: Advice, evict_batch: usize, kind: DeviceKind) -> (f64, u64,
         debts.clone(),
     );
     let cfg = AquilaConfig::builder(1, CACHE_FRAMES)
-        .evict_batch(evict_batch)
-        .topology(NumaTopology::flat(1))
+        .policy(MmioPolicy {
+            evict_batch,
+            ..MmioPolicy::default()
+        })
         .build();
     let aquila = Aquila::new(cfg, debts);
     // Reuse the runtime's blobstore/access for the custom engine.

@@ -16,6 +16,12 @@ cargo build --release
 step "cargo build --release -p aquila-bench --bins"
 cargo build --release -p aquila-bench --bins
 
+# perfbench is its own crate outside the workspace; build it the way
+# perfbench/run.py does, so a public-API change that breaks the
+# benchmark fails here rather than when the benchmark runs.
+step "cargo build perfbench"
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 step "cargo fmt --check"
 cargo fmt --check
 

@@ -793,7 +793,6 @@ fn write_behind_device_image(seed: u64, pipeline: bool) -> Vec<u8> {
         MmioPolicy {
             low_watermark: 8,
             high_watermark: 24,
-            evictor_cores: vec![1],
             write_policy: WritePolicy::Async,
             queue_depth: 8,
             evict_batch: 16,
@@ -860,10 +859,7 @@ fn write_behind_device_image(seed: u64, pipeline: bool) -> Vec<u8> {
         );
     }
     if pipeline {
-        engine.spawn(
-            1,
-            rt.aquila.evictor(Arc::clone(&stop), Cycles::from_micros(2)),
-        );
+        engine.spawn(1, rt.aquila.evictor(Arc::clone(&stop)));
     }
     engine.run();
 
